@@ -9,8 +9,8 @@ test:
 	$(PYTHON) -m pytest -x -q
 
 ## Seconds-fast benchmark pass on a tiny city — CI wiring for the full bench.
-## bench_solvers asserts all three sweep engines (full / dirty-full-scan /
-## dirty) land on identical regret and move counts, that parallel restarts
+## bench_solvers asserts the BLS sweep lands on the reference full loop's
+## regret and move counts (repro.reference), that parallel restarts
 ## equal serial, and — via the flag — that batched warm-pool parallel
 ## restarts actually beat serial.  The speedup gate assumes a multi-core
 ## runner (GitHub Actions); on a single-CPU box the bench skips the gate
@@ -39,8 +39,8 @@ bench-scale-smoke:
 	$(PYTHON) scripts/bench_scale.py --smoke --output /tmp/BENCH_scale_smoke.json
 
 ## Quote-throughput benchmark: the journaled incremental pricing path vs the
-## from-scratch path over a deep standing book, bit-identity asserted on every
-## overlapping quote.  Appends to BENCH_quotes.json, gates timing regressions
+## from-scratch reference host over a deep standing book, bit-identity
+## asserted on every overlapping quote.  Appends to BENCH_quotes.json, gates timing regressions
 ## >15%, and fails below a 10x incremental speedup (DESIGN.md §15).
 bench-quotes:
 	$(PYTHON) scripts/bench_quotes.py --output BENCH_quotes.json \

@@ -18,15 +18,24 @@ The regression gate compares every ``*_s`` timing of the new run against the
 fails when any is slower than ``threshold`` (default 1.15 = >15% slower).
 With no prior baseline for the key the gate passes trivially — a fresh CI
 workspace gates nothing, while a checked-in history gates every run.
+
+A history file that exists but cannot be read as one (truncated JSON, an
+unknown schema) raises :class:`HistoryError` instead of starting over, and
+appends replace the file atomically — a crash or a corrupt file never
+silently erases the recorded runs.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import subprocess
 import time
 from pathlib import Path
 
 SCHEMA = "bench-history-v1"
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
 #: Fail when a timing exceeds best-recorded × this factor.
 DEFAULT_THRESHOLD = 1.15
@@ -42,26 +51,65 @@ def scenario_key(report: dict) -> str:
     return "|".join(parts)
 
 
+class HistoryError(ValueError):
+    """A bench history file exists but is not a readable history."""
+
+
+def git_commit() -> str:
+    """Hash of the commit that produced a report (``unknown`` outside git).
+
+    A ``-dirty`` suffix marks reports produced from an uncommitted tree; the
+    head hash itself comes from the shared :mod:`repro.obs.ledger` helper so
+    every artifact (bench history, run ledger, trace) stamps the same id.
+    """
+    from repro.obs import ledger
+
+    head = ledger.git_commit()
+    if head == "unknown":
+        return head
+    try:
+        dirty = subprocess.run(
+            ["git", "status", "--porcelain"],
+            capture_output=True,
+            text=True,
+            check=True,
+            cwd=REPO_ROOT,
+        ).stdout.strip()
+    except (OSError, subprocess.SubprocessError):
+        return head
+    return f"{head}-dirty" if dirty else head
+
+
 def load_history(path: str | Path) -> dict:
-    """The history at ``path`` (empty, or migrated from a legacy report)."""
+    """The history at ``path`` (empty when absent, migrated from a legacy
+    single report); raises :class:`HistoryError` on anything else."""
     path = Path(path)
     if not path.is_file():
         return {"schema": SCHEMA, "runs": []}
     try:
         data = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError):
-        return {"schema": SCHEMA, "runs": []}
+    except json.JSONDecodeError as error:
+        raise HistoryError(
+            f"{path} is not valid JSON ({error}); refusing to overwrite its runs"
+        ) from error
     if isinstance(data, dict) and data.get("schema") == SCHEMA:
-        runs = data.get("runs")
-        return {"schema": SCHEMA, "runs": runs if isinstance(runs, list) else []}
+        if not isinstance(data.get("runs"), list):
+            raise HistoryError(f"{path}: {SCHEMA} file without a runs list")
+        return {"schema": SCHEMA, "runs": data["runs"]}
     if isinstance(data, dict) and "benchmark" in data:
         # Legacy layout: the file held one bare report.
         return {"schema": SCHEMA, "runs": [data]}
-    return {"schema": SCHEMA, "runs": []}
+    raise HistoryError(f"{path}: unknown bench history schema")
 
 
 def append_run(path: str | Path, report: dict) -> dict:
-    """Append ``report`` to the history at ``path`` and write it back."""
+    """Append ``report`` to the history at ``path`` and write it back.
+
+    The new file is written beside the old one and moved over it with
+    ``os.replace``, so a reader (or a crash) never sees a half-written file;
+    it is created like any other file (umask permissions, not ``mkstemp``'s
+    owner-only mode), since the history files are committed.
+    """
     path = Path(path)
     history = load_history(path)
     entry = dict(report)
@@ -69,7 +117,13 @@ def append_run(path: str | Path, report: dict) -> dict:
         "recorded_at", time.strftime("%Y-%m-%dT%H:%M:%S%z", time.localtime())
     )
     history["runs"].append(entry)
-    path.write_text(json.dumps(history, indent=2) + "\n")
+    temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        temp.write_text(json.dumps(history, indent=2) + "\n")
+        os.replace(temp, path)
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        raise
     return history
 
 

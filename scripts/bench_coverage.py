@@ -29,7 +29,6 @@ import argparse
 import json
 import os
 import platform
-import subprocess
 import sys
 import tempfile
 import time
@@ -46,35 +45,9 @@ from repro.billboard.influence import BITMAP_BUDGET_ENV, CoverageIndex
 from repro.billboard.model import BillboardDB
 from repro.experiments.harness import run_cell
 from repro.market.scenario import Scenario
-from repro.obs import ledger
 from repro.spatial.grid import GridIndex
 from repro.trajectory.model import TrajectoryDB
 from repro.utils.rng import as_generator
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
-
-
-def git_commit() -> str:
-    """Hash of the commit that produced this report (``unknown`` outside git).
-
-    A ``-dirty`` suffix marks reports produced from an uncommitted tree; the
-    head hash itself comes from the shared :mod:`repro.obs.ledger` helper so
-    every artifact (bench history, run ledger, trace) stamps the same id.
-    """
-    head = ledger.git_commit()
-    if head == "unknown":
-        return head
-    try:
-        dirty = subprocess.run(
-            ["git", "status", "--porcelain"],
-            capture_output=True,
-            text=True,
-            check=True,
-            cwd=REPO_ROOT,
-        ).stdout.strip()
-        return f"{head}-dirty" if dirty else head
-    except Exception:
-        return head
 
 
 def legacy_covered_lists(
@@ -268,7 +241,7 @@ def main(argv: list[str] | None = None) -> int:
     report = {
         "benchmark": "coverage-kernel",
         "smoke": bool(args.smoke),
-        "commit": git_commit(),
+        "commit": _bench_history.git_commit(),
         "scenario": {
             "dataset": scenario.dataset,
             "n_billboards": scenario.n_billboards,

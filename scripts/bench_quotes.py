@@ -1,17 +1,17 @@
 """Quote-throughput benchmark: incremental vs from-scratch pricing.
 
-Builds a standing book on the PR-1 NYC-scale scenario (two
-:class:`~repro.market.online.OnlineHost` instances — ``pricing="incremental"``
-and ``pricing="full"`` — fed the identical acceptance sequence, asserting
-they land on the identical plan), then measures:
+Builds a standing book on the NYC-scale bench scenario (two hosts — the
+incremental :class:`~repro.market.online.OnlineHost` and the from-scratch
+:class:`~repro.reference.ReferenceHost` — fed the identical acceptance
+sequence, asserting they land on the identical plan), then measures:
 
-* **per-quote wall time** on both engines over the same cyclic proposal
+* **per-quote wall time** on both hosts over the same cyclic proposal
   stream, asserting every overlapping quote is bit-identical in
   ``(regret_before, regret_after, would_satisfy)``.  ``speedup`` is the
   from-scratch / incremental ratio — the number the journaled allocation +
   warm restricted repair exists to move (the acceptance bar is 10× at bench
   scale);
-* **quotes/sec** of the incremental engine over a long stream (toward the
+* **quotes/sec** of the incremental host over a long stream (toward the
   10⁴–10⁵ regime the ISSUE sweeps at full scale);
 * **p50/p95/p99 quote latency** from the ``quote.price`` span's log-bucket
   histogram, collected in a separate instrumented pass (observability on)
@@ -43,7 +43,6 @@ import argparse
 import json
 import os
 import platform
-import subprocess
 import sys
 import time
 from pathlib import Path
@@ -58,26 +57,7 @@ from repro.market.online import OnlineHost
 from repro.market.scenario import Scenario
 from repro.obs import ledger
 from repro.parallel.pool import close_all_pools
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
-
-
-def git_commit() -> str:
-    """Hash of the commit that produced this report (``-dirty`` if unclean)."""
-    head = ledger.git_commit()
-    if head == "unknown":
-        return head
-    try:
-        dirty = subprocess.run(
-            ["git", "status", "--porcelain"],
-            capture_output=True,
-            text=True,
-            check=True,
-            cwd=REPO_ROOT,
-        ).stdout.strip()
-        return f"{head}-dirty" if dirty else head
-    except Exception:
-        return head
+from repro.reference import ReferenceHost
 
 
 def quote_key(quote) -> tuple:
@@ -85,7 +65,7 @@ def quote_key(quote) -> tuple:
 
 
 def build_books(scenario: Scenario, book_size: int):
-    """Two hosts (incremental + full) holding the identical standing book.
+    """Two hosts (incremental + reference) holding the identical standing book.
 
     The scenario's generated advertisers are split: the first ``book_size``
     are accepted into both hosts (lockstep, identity asserted), the rest
@@ -102,15 +82,13 @@ def build_books(scenario: Scenario, book_size: int):
         (advertiser.demand, advertiser.payment)
         for advertiser in instance.advertisers[book_size:]
     ]
-    incremental = OnlineHost(
-        instance.coverage, gamma=scenario.gamma, pricing="incremental"
-    )
-    full = OnlineHost(instance.coverage, gamma=scenario.gamma, pricing="full")
+    incremental = OnlineHost(instance.coverage, gamma=scenario.gamma)
+    full = ReferenceHost(instance.coverage, gamma=scenario.gamma)
     for advertiser in booked:
         quote_inc = incremental.accept(advertiser.demand, advertiser.payment)
         quote_full = full.accept(advertiser.demand, advertiser.payment)
         assert quote_key(quote_inc) == quote_key(quote_full), (
-            "book construction diverged between pricing engines"
+            "book construction diverged between the two hosts"
         )
     for advertiser_id in range(book_size):
         assert incremental.allocation.billboards_of(
@@ -122,9 +100,9 @@ def build_books(scenario: Scenario, book_size: int):
 
 
 def bench_quote_paths(incremental, full, proposals, n_incremental, n_full) -> dict:
-    """Timed (obs-off) per-quote cost on both engines, bit-identity asserted.
+    """Timed (obs-off) per-quote cost on both hosts, bit-identity asserted.
 
-    Both engines quote the same cyclic proposal stream; the overlapping
+    Both hosts quote the same cyclic proposal stream; the overlapping
     prefix must match quote-for-quote.  The incremental side then continues
     to ``n_incremental`` quotes for the throughput figure.
     """
@@ -164,7 +142,7 @@ def bench_quote_paths(incremental, full, proposals, n_incremental, n_full) -> di
         "identity_checked_quotes": len(full_keys),
         "note": (
             "per-quote wall time, obs off; every overlapping quote asserted "
-            "bit-identical across engines"
+            "bit-identical across hosts"
         ),
     }
 
@@ -333,7 +311,7 @@ def main(argv: list[str] | None = None) -> int:
     report = {
         "benchmark": "quote-throughput",
         "smoke": bool(args.smoke),
-        "commit": git_commit(),
+        "commit": _bench_history.git_commit(),
         "scenario": {
             "dataset": scenario.dataset,
             "n_billboards": scenario.n_billboards,

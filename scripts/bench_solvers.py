@@ -1,18 +1,14 @@
-"""Solver benchmark: sweep engines (full / dirty-full-scan / dirty) and
-serial vs persistent-pool parallel restarts.
+"""Solver benchmark: the BLS sweep vs its reference loop, and serial vs
+persistent-pool parallel restarts.
 
 Times, on the PR-1 ``bls_cell`` scenario (NYC scale, seed 7):
 
-* **the BLS local-search loop** under all three engines — ``"full"``
-  (rescan every billboard every sweep), ``"dirty-full-scan"`` (PR-3:
-  version-counter certificates choose *which* billboards to scan, but each
-  surviving scan still popcounts every row), and ``"dirty"`` (this PR:
-  surviving scans are restricted to the screened candidate ids, so the
-  kernel popcounts ``|candidates| × words`` instead of ``n × words``).  All
-  three must report identical total regret and accepted-move counts — the
-  benchmark *fails* otherwise.  ``restricted_speedup`` is the
-  dirty-full-scan → dirty ratio, i.e. the gain attributable purely to
-  row restriction;
+* **the BLS local-search loop** — the production dirty-set sweep
+  (``"dirty"``: version-counter certificates choose *which* billboards to
+  scan, and surviving scans are restricted to the screened candidate ids)
+  against the reference loop :func:`repro.reference.full_bls` (``"full"``:
+  rescan every billboard every sweep).  Both must report identical total
+  regret and accepted-move counts — the benchmark *fails* otherwise;
 * **random restarts** — ``RandomizedLocalSearch(restarts=N)`` run serially
   vs fanned out over a *persistent* shared-memory worker pool
   (:mod:`repro.parallel.pool`).  An untimed warm-up spawns the pool (and
@@ -44,7 +40,6 @@ import argparse
 import json
 import os
 import platform
-import subprocess
 import sys
 import time
 from pathlib import Path
@@ -55,7 +50,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 import _bench_history
 
 from repro import env, obs
-from repro.algorithms.bls import SWEEP_ENGINES, billboard_driven_local_search
+from repro.algorithms.bls import billboard_driven_local_search
 from repro.algorithms.greedy_global import synchronous_greedy
 from repro.algorithms.local_search import RandomizedLocalSearch
 from repro.core.allocation import Allocation
@@ -63,52 +58,31 @@ from repro.core.problem import MROAMInstance
 from repro.market.scenario import Scenario
 from repro.obs import ledger
 from repro.parallel.pool import OVERSUBSCRIBE_ENV, close_all_pools
+from repro.reference import full_bls
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-
-
-def git_commit() -> str:
-    """Hash of the commit that produced this report (``unknown`` outside git).
-
-    A ``-dirty`` suffix marks reports produced from an uncommitted tree; the
-    head hash itself comes from the shared :mod:`repro.obs.ledger` helper.
-    """
-    head = ledger.git_commit()
-    if head == "unknown":
-        return head
-    try:
-        dirty = subprocess.run(
-            ["git", "status", "--porcelain"],
-            capture_output=True,
-            text=True,
-            check=True,
-            cwd=REPO_ROOT,
-        ).stdout.strip()
-        return f"{head}-dirty" if dirty else head
-    except Exception:
-        return head
+#: The timed BLS loops: the production sweep and its reference.
+SWEEP_LOOPS = {"full": full_bls, "dirty": billboard_driven_local_search}
 
 
 def bench_sweep_engines(instance: MROAMInstance, repeats: int = 3) -> dict:
-    """Best-of-``repeats`` timings of the BLS loop under all three engines.
+    """Best-of-``repeats`` timings of the BLS sweep and its reference loop.
 
-    The greedy start is rebuilt (not cloned) per run so no engine benefits
-    from warm allocation state; only the local-search loop is timed.
-    Hard-fails unless every engine lands on the identical regret and
+    The greedy start is rebuilt (not cloned) per run so neither loop
+    benefits from warm allocation state; only the local-search loop is
+    timed.  Hard-fails unless both land on the identical regret and
     accepted-move counts.
     """
-    # Interleave the repeats across engines (like the parallel-restart
-    # section) so background-load drift hits every engine equally; best-of
-    # per engine.
-    timings: dict = {engine: float("inf") for engine in SWEEP_ENGINES}
+    # Interleave the repeats across loops (like the parallel-restart
+    # section) so background-load drift hits both equally; best-of per loop.
+    timings: dict = {engine: float("inf") for engine in SWEEP_LOOPS}
     outcomes: dict = {}
     for _ in range(repeats):
-        for engine in SWEEP_ENGINES:
+        for engine, search in SWEEP_LOOPS.items():
             allocation = Allocation(instance)
             synchronous_greedy(allocation)
             stats: dict = {}
             started = time.perf_counter()
-            billboard_driven_local_search(allocation, stats=stats, engine=engine)
+            allocation = search(allocation, stats=stats)
             timings[engine] = min(timings[engine], time.perf_counter() - started)
             outcomes[engine] = {
                 "total_regret": allocation.total_regret(),
@@ -120,30 +94,24 @@ def bench_sweep_engines(instance: MROAMInstance, repeats: int = 3) -> dict:
                 "bls_dirty_skipped": stats.get("bls_dirty_skipped"),
             }
 
-    for engine in SWEEP_ENGINES:
-        assert (
-            outcomes[engine]["total_regret"] == outcomes["full"]["total_regret"]
-        ), (
-            f"{engine} engine diverged from full-scan regret: "
-            f"{outcomes[engine]['total_regret']} != {outcomes['full']['total_regret']}"
+    dirty, full = outcomes["dirty"], outcomes["full"]
+    assert dirty["total_regret"] == full["total_regret"], (
+        f"dirty sweep diverged from the reference loop's regret: "
+        f"{dirty['total_regret']} != {full['total_regret']}"
+    )
+    for key in ("bls_exchanges", "bls_releases", "bls_topups"):
+        assert dirty[key] == full[key], (
+            f"dirty sweep accepted a different move sequence ({key}: "
+            f"{dirty[key]} != {full[key]})"
         )
-        for key in ("bls_exchanges", "bls_releases", "bls_topups"):
-            assert outcomes[engine][key] == outcomes["full"][key], (
-                f"{engine} engine accepted a different move sequence ({key}: "
-                f"{outcomes[engine][key]} != {outcomes['full'][key]})"
-            )
     return {
         "full_engine_s": timings["full"],
-        "dirty_full_scan_engine_s": timings["dirty-full-scan"],
         "dirty_engine_s": timings["dirty"],
         "speedup": timings["full"] / timings["dirty"]
         if timings["dirty"] > 0
         else float("inf"),
-        "restricted_speedup": timings["dirty-full-scan"] / timings["dirty"]
-        if timings["dirty"] > 0
-        else float("inf"),
-        "total_regret": outcomes["dirty"]["total_regret"],
-        **{engine: outcomes[engine] for engine in SWEEP_ENGINES},
+        "total_regret": dirty["total_regret"],
+        **outcomes,
     }
 
 
@@ -164,7 +132,7 @@ def collect_restricted_rows(instance: MROAMInstance) -> tuple[dict, dict]:
     try:
         allocation = Allocation(instance)
         synchronous_greedy(allocation)
-        billboard_driven_local_search(allocation, engine="dirty")
+        billboard_driven_local_search(allocation)
         histogram = obs.get_registry().histogram("influence.popcount.rows")
         empty = histogram.count == 0
         rows = {
@@ -312,27 +280,27 @@ def bench_parallel_restarts(
     }
 
 
-def traced_engine_passes(instance: MROAMInstance) -> None:
-    """One fully-instrumented BLS pass per engine, for the trace artifact.
+def traced_engine_pass(instance: MROAMInstance) -> None:
+    """One fully-instrumented BLS pass, for the trace artifact.
 
-    Runs with collection *and* tracing on (outside the timed sections): each
-    pass contributes per-sweep ``bls.sweep`` phase events, and the kernel
-    dispatch counter deltas of the pass are stamped as a ``kernel.dispatch``
-    instant event so the report can attribute kernel choice per engine.
+    Runs with collection *and* tracing on (outside the timed sections): the
+    pass contributes per-sweep ``bls.sweep`` phase events, and its kernel
+    dispatch counter deltas are stamped as a ``kernel.dispatch`` instant
+    event so the report can attribute kernel choice to the sweep.  The
+    reference loop is uninstrumented, so only the production sweep is traced.
     """
     attributed = ("influence.dispatch.", "influence.kernel.", "influence.tier.")
-    for engine in SWEEP_ENGINES:
-        before = dict(obs.get_registry().counters)
-        allocation = Allocation(instance)
-        synchronous_greedy(allocation)
-        billboard_driven_local_search(allocation, engine=engine)
-        after = obs.get_registry().counters
-        delta = {
-            name: after[name] - before.get(name, 0)
-            for name in after
-            if name.startswith(attributed) and after[name] != before.get(name, 0)
-        }
-        obs.emit_instant("kernel.dispatch", {"engine": engine, **delta})
+    before = dict(obs.get_registry().counters)
+    allocation = Allocation(instance)
+    synchronous_greedy(allocation)
+    billboard_driven_local_search(allocation)
+    after = obs.get_registry().counters
+    delta = {
+        name: after[name] - before.get(name, 0)
+        for name in after
+        if name.startswith(attributed) and after[name] != before.get(name, 0)
+    }
+    obs.emit_instant("kernel.dispatch", {"engine": "dirty", **delta})
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -364,13 +332,6 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         metavar="X",
         help="fail unless warm-pool parallel restarts reach X× over serial",
-    )
-    parser.add_argument(
-        "--assert-restricted-speedup",
-        type=float,
-        default=None,
-        metavar="X",
-        help="fail unless the dirty engine reaches X× over dirty-full-scan",
     )
     parser.add_argument(
         "--gate-regression",
@@ -415,7 +376,7 @@ def main(argv: list[str] | None = None) -> int:
     report = {
         "benchmark": "solver-sweep-engine",
         "smoke": bool(args.smoke),
-        "commit": git_commit(),
+        "commit": _bench_history.git_commit(),
         "scenario": {
             "dataset": scenario.dataset,
             "n_billboards": scenario.n_billboards,
@@ -436,17 +397,12 @@ def main(argv: list[str] | None = None) -> int:
     print(f"\nappended run {len(history['runs'])} to {path}")
 
     if ledger.enabled():
-        timing_keys = {
-            "full": "full_engine_s",
-            "dirty-full-scan": "dirty_full_scan_engine_s",
-            "dirty": "dirty_engine_s",
-        }
-        for engine in SWEEP_ENGINES:
+        for engine in SWEEP_LOOPS:
             ledger.record_run(
                 "bench.sweep",
                 instance=instance,
                 engine=engine,
-                wall_s=float(sweep_engines[timing_keys[engine]]),
+                wall_s=float(sweep_engines[f"{engine}_engine_s"]),
                 regret=float(sweep_engines["total_regret"]),
                 smoke=bool(args.smoke),
             )
@@ -466,11 +422,11 @@ def main(argv: list[str] | None = None) -> int:
         print(f"appended ledger records to {ledger.ledger_path()}")
 
     if obs.trace_enabled():
-        # Per-engine instrumented passes for the trace artifact, then retire
-        # the pools so every worker's teardown spill is on disk before the
-        # trace is assembled.
+        # An instrumented sweep for the trace artifact, then retire the
+        # pools so every worker's teardown spill is on disk before the trace
+        # is assembled.
         obs.enable()
-        traced_engine_passes(instance)
+        traced_engine_pass(instance)
         close_all_pools()
         trace_path = obs.write_trace()
         print(f"wrote Chrome trace to {trace_path}")
@@ -509,11 +465,6 @@ def main(argv: list[str] | None = None) -> int:
                 f"warm-pool parallel speedup {parallel['speedup']:.3f} below "
                 f"the required {args.assert_parallel_speedup}"
             )
-    if args.assert_restricted_speedup is not None:
-        assert sweep_engines["restricted_speedup"] >= args.assert_restricted_speedup, (
-            f"restricted-kernel speedup {sweep_engines['restricted_speedup']:.3f} "
-            f"below the required {args.assert_restricted_speedup}"
-        )
     return 0
 
 

@@ -3,16 +3,17 @@
 The online host prices a proposal by *repairing* the standing plan around
 one newcomer: greedy fills the newcomer from the free pool, then a bounded
 number of billboard-driven local-search sweeps smooths the neighbourhood.
-Both the from-scratch path (``pricing="full"``) and the incremental path
-(``pricing="incremental"``) funnel through :func:`bounded_repair`, so the
-two can only differ in *what they skip* — never in the moves they accept —
-which is the bit-identity contract of DESIGN.md §15.
+The incremental host (warm carried state) and the from-scratch reference
+host (:class:`repro.reference.ReferenceHost`, cold) both funnel through
+:func:`bounded_repair`, so the two can only differ in *what they skip* —
+never in the moves they accept — which is the bit-identity contract of
+DESIGN.md §15.
 """
 
 from __future__ import annotations
 
 from repro.algorithms.bls import (
-    _find_improving_exchange_frozen,
+    _find_improving_exchange,
     _release_pass_improves,
     billboard_driven_local_search,
 )
@@ -51,7 +52,7 @@ def bounded_repair(
         state.mark_move(advertisers=(newcomer_id,))
     if sweeps:
         # A carried (settled) state trusts its certificates and skips the
-        # terminating verify sweep — the from-scratch path keeps it, so the
+        # terminating verify sweep — a cold repair keeps it, so the
         # warm quote pays O(delta) where the cold quote pays O(book).  The
         # accepted moves are identical either way (every certificate skip is
         # backed by a proof the scan returns ``None``).
@@ -113,12 +114,8 @@ def settle_certificates(
                 # The screen's survivors carry the certificate proof that
                 # every excluded partner is non-improving, so the exact scan
                 # runs restricted — same soundness as the dirty engine's.
-                partner = _find_improving_exchange_frozen(
-                    allocation,
-                    advertiser_id,
-                    billboard_id,
-                    min_improvement,
-                    candidate_ids=screen_ids,
+                partner = _find_improving_exchange(
+                    allocation, advertiser_id, billboard_id, min_improvement, screen_ids
                 )
                 if partner is not None:
                     continue  # a real improving move: cannot certify

@@ -12,11 +12,10 @@ This module collapses the screen to *round* granularity:
 
 * :func:`round_candidates` builds every remaining billboard's candidate set
   in one broadcasted pass over the version counters (bit-identical per row to
-  :meth:`~repro.algorithms.sweep.BillboardSweepState.changed_candidates` /
-  the full-scan mask);
+  :func:`repro.reference.changed_candidates` / the full-scan mask);
 * :func:`round_flags` prices every (billboard, candidate) pair of the round
   in one fused vectorized pass — elementwise identical arithmetic to the
-  per-advertiser ``_exchange_screen_batch``, so the verdict vectors are
+  scalar :func:`repro.reference.exchange_screen`, so the verdicts are
   bit-identical;
 * :class:`ScreenRoundPlanner` caches one round's verdicts for the engine and
   drops them after every accepted move, so each verdict is consumed at
@@ -121,11 +120,14 @@ def round_flags(
 ) -> np.ndarray:
     """Screen verdicts for every row of a round in one fused pass.
 
-    ``flags[k] is False`` carries the per-advertiser batch screen's proof:
-    exchanging ``billboard_ids[k]`` with any of its candidates improves total
-    regret by at most ``min_improvement``.  The arithmetic is elementwise
-    with per-row scalars broadcast via ``repeat``, so each row's verdict is
-    bit-identical to ``_exchange_screen_batch`` on the same candidate set.
+    ``flags[k] is False`` proves that exchanging ``billboard_ids[k]`` with
+    any of its candidates improves total regret by at most
+    ``min_improvement``: the own side lands in ``[v_i − I(o_m), v_i +
+    I(o_n)]`` and an assigned partner in ``[v_j − I(o_n), v_j + I(o_m)]``, so
+    the summed best-case regret drop upper-bounds the true improvement.  The
+    arithmetic is elementwise with per-row scalars broadcast via ``repeat``,
+    so each row's verdict is bit-identical to the scalar
+    :func:`repro.reference.exchange_screen` on the same candidate set.
     """
     verdicts = np.zeros(len(billboard_ids), dtype=bool)
     keep = np.nonzero(lengths > 0)[0]

@@ -66,33 +66,6 @@ class BillboardSweepState:
         for billboard_id in freed:
             self.freed_version[billboard_id] = self.version
 
-    def own_side_stale(self, advertiser_id: int, billboard_id: int) -> bool:
-        """True when ``billboard_id``'s own advertiser changed since its last
-        certified scan (or it was never certified) — the whole candidate set
-        must then be rescanned, not just the changed candidates."""
-        certified = self.scan_version[billboard_id]
-        return bool(certified == 0 or self.advertiser_version[advertiser_id] > certified)
-
-    def changed_candidates(
-        self, billboard_id: int, owners: np.ndarray, advertiser_id: int
-    ) -> np.ndarray:
-        """Exchange partners whose pairing with ``billboard_id`` may price
-        differently than at its last certified scan.
-
-        Assigned candidates are stale when their owner moved since the
-        certificate; free candidates when they were freed since.  The
-        billboard itself and its own advertiser's billboards are excluded,
-        mirroring the full scan's candidate mask.
-        """
-        certified = self.scan_version[billboard_id]
-        assigned = owners != UNASSIGNED
-        changed = np.empty(len(owners), dtype=bool)
-        changed[assigned] = self.advertiser_version[owners[assigned]] > certified
-        changed[~assigned] = self.freed_version[~assigned] > certified
-        changed[billboard_id] = False
-        changed[owners == advertiser_id] = False
-        return np.nonzero(changed)[0]
-
     def certify_scan(self, billboard_id: int) -> None:
         self.scan_version[billboard_id] = self.version
 
@@ -114,10 +87,11 @@ class BillboardSweepState:
         """Effective scan certificates for a whole screen round at once.
 
         ``-1`` marks rows that must take the full candidate mask — verify
-        sweeps and rows failing :meth:`own_side_stale`; other rows carry
-        their billboard's certified scan version, exactly the value
-        :meth:`changed_candidates` compares stamps against.  Feed the result
-        to :func:`round_candidates`.
+        sweeps, and rows whose own advertiser moved since their certified
+        scan (or that were never certified); other rows carry their
+        billboard's certified scan version, the value candidate stamps are
+        compared against.  Feed the result to :func:`round_candidates`.
+        Row for row this equals :func:`repro.reference.own_side_stale`.
         """
         if verifying:
             return np.full(len(billboard_ids), -1, dtype=np.int64)
@@ -214,9 +188,12 @@ def round_candidates(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Every row's exchange-candidate ids, concatenated, plus per-row lengths.
 
-    One broadcasted ``(rows × billboards)`` comparison replacing per-billboard
-    :meth:`BillboardSweepState.changed_candidates` calls; each row's slice is
-    bit-identical to the scalar helper because the stamp vector, the
+    One broadcasted ``(rows × billboards)`` comparison.  A row's candidates
+    are the exchange partners whose pairing may price differently than at
+    its certified scan: assigned billboards whose owner moved since, free
+    billboards freed since, minus the row's own billboard and its
+    advertiser's set.  Each row's slice is bit-identical to the per-billboard
+    :func:`repro.reference.changed_candidates` because the stamp vector, the
     exclusion masks, and row-major ``nonzero`` ordering reproduce the same
     ascending candidate ids.  A ``certified`` entry of ``-1`` (see
     :meth:`BillboardSweepState.round_certificates`) turns its row into the

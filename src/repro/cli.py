@@ -314,8 +314,8 @@ def _cmd_quotes(args: argparse.Namespace) -> int:
     ``--book-size`` into a standing book, then prices the held-out rest as a
     proposal stream.  With ``--accept-attractive`` each quote whose repaired
     regret does not grow is committed through its token, so later quotes
-    price against the grown book — the incremental engine's journal makes
-    each of these a warm repair rather than a from-scratch re-solve.
+    price against the grown book — the host's journal makes each of these a
+    warm repair rather than a from-scratch re-solve.
     """
     from repro.market.online import OnlineHost
 
@@ -331,13 +331,12 @@ def _cmd_quotes(args: argparse.Namespace) -> int:
         instance.coverage,
         gamma=scenario.gamma,
         repair_sweeps=args.sweeps,
-        pricing=args.pricing,
     )
     for advertiser in instance.advertisers[: args.book_size]:
         host.accept(advertiser.demand, advertiser.payment, name=advertiser.name)
     print(
-        f"book: {args.book_size} proposals accepted "
-        f"(pricing={host.pricing}), regret={host.total_regret():.1f}"
+        f"book: {args.book_size} proposals accepted, "
+        f"regret={host.total_regret():.1f}"
     )
     from repro.utils.timing import Stopwatch
 
@@ -454,13 +453,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=8,
         help="generated advertisers accepted as the standing book; the rest "
         "become the quoted proposal stream",
-    )
-    quotes.add_argument(
-        "--pricing",
-        choices=("incremental", "full"),
-        default=None,
-        help="quote-pricing engine (default: $REPRO_QUOTE_PRICING, then "
-        "incremental); both return bit-identical quotes",
     )
     quotes.add_argument(
         "--sweeps", type=int, default=2, help="bounded-repair BLS sweeps per quote"

@@ -216,18 +216,6 @@ POOL_OVERSUBSCRIBE = _declare(
 # ----------------------------------------------------------------- market
 
 
-QUOTE_PRICING = _declare(
-    EnvKnob(
-        name="REPRO_QUOTE_PRICING",
-        default="incremental",
-        parser=str,
-        doc="OnlineHost pricing engine: incremental (journaled allocation, "
-        "warm restricted repair) or full (rebuild-from-scratch baseline); "
-        "quotes are bit-identical either way.",
-        cli="pricing=",
-    )
-)
-
 QUOTE_BATCH_WORKERS = _declare(
     EnvKnob(
         name="REPRO_QUOTE_BATCH_WORKERS",

@@ -1,7 +1,8 @@
 """The incremental quote-pricing workspace (DESIGN.md §15).
 
-The from-scratch pricing path rebuilds an extended instance and re-copies
-the whole standing plan per quote — O(book) before repair even starts.
+Pricing from scratch rebuilds an extended instance and re-copies the whole
+standing plan per quote — O(book) before repair even starts
+(:class:`repro.reference.ReferenceHost` keeps that path as the oracle).
 :class:`QuoteWorkspace` keeps one *extended* world alive across quotes
 instead:
 
@@ -23,7 +24,7 @@ back.  Accepting replays the recorded deltas — the repair is never
 recomputed.  Every float the caller sees is produced by the same operations
 in the same order as the from-scratch path, so quotes are bit-identical
 (the property tests in ``tests/market/test_online_incremental.py`` hold the
-two paths in lockstep).
+two hosts in lockstep).
 """
 
 from __future__ import annotations
@@ -147,9 +148,11 @@ class QuoteWorkspace:
         """Repair around ``newcomer`` in the spare slot, record, roll back.
 
         Leaves the workspace byte-identical to before the call (journal
-        rollback + sweep-state restore + ghost contract back in the slot);
-        the returned :class:`PricedProposal` carries everything
-        :meth:`accept` needs to commit the repair without recomputing it.
+        rollback + sweep-state restore + ghost contract back in the slot) on
+        every exit path — a repair that raises leaves no residue in the
+        standing plan.  The returned :class:`PricedProposal` carries
+        everything :meth:`accept` needs to commit the repair without
+        recomputing it.
         """
         slot = self.newcomer_slot
         if newcomer.advertiser_id != slot:
@@ -157,26 +160,28 @@ class QuoteWorkspace:
                 f"newcomer id must be the spare slot {slot}, "
                 f"got {newcomer.advertiser_id}"
             )
-        self._set_slot(newcomer)
-        before = self.book_regret()
         pre_state = self.state.snapshot()
         mark = self.allocation.journal_mark()
-        repaired = bounded_repair(
-            self.allocation,
-            slot,
-            self.repair_sweeps,
-            state=self.state,
-            min_improvement=self.min_improvement,
-        )
-        if repaired is not self.allocation:
-            raise RuntimeError("incremental repair must keep the journaled object")
-        after = self.allocation.total_regret()
-        would_satisfy = self.allocation.is_satisfied(slot)
-        entries = self.allocation.journal_entries(mark)
-        post_state = self.state.snapshot()
-        self.allocation.rollback_to(mark)
-        self.state.restore(pre_state)
-        self._set_slot(self._ghost)
+        self._set_slot(newcomer)
+        try:
+            before = self.book_regret()
+            repaired = bounded_repair(
+                self.allocation,
+                slot,
+                self.repair_sweeps,
+                state=self.state,
+                min_improvement=self.min_improvement,
+            )
+            if repaired is not self.allocation:
+                raise RuntimeError("incremental repair must keep the journaled object")
+            after = self.allocation.total_regret()
+            would_satisfy = self.allocation.is_satisfied(slot)
+            entries = self.allocation.journal_entries(mark)
+            post_state = self.state.snapshot()
+        finally:
+            self.allocation.rollback_to(mark)
+            self.state.restore(pre_state)
+            self._set_slot(self._ghost)
         return PricedProposal(
             newcomer=newcomer,
             regret_before=float(before),

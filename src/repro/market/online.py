@@ -19,14 +19,13 @@ workflow on top:
 
 Repair = serve the newcomer with the synchronous greedy over the free pool,
 then a bounded billboard-driven local search (the shared
-:func:`~repro.algorithms.repair.bounded_repair` pass).  Two pricing engines
-produce bit-identical quotes (DESIGN.md §15):
-
-* ``pricing="incremental"`` (default) — one journaled allocation lives
-  across quotes; a quote repairs it in place, records the deltas, and rolls
-  back in O(moves touched); sweep certificates and regret caches stay warm.
-* ``pricing="full"`` — rebuild the extended instance and copy the plan per
-  quote; the from-scratch baseline the equivalence tests compare against.
+:func:`~repro.algorithms.repair.bounded_repair` pass).  Pricing is
+incremental (DESIGN.md §15): one journaled allocation lives across quotes; a
+quote repairs it in place, records the deltas, and rolls back in O(moves
+touched); sweep certificates and regret caches stay warm.  Quotes are
+bit-identical to rebuilding the extended instance and repairing a copy of
+the plan per quote — :class:`repro.reference.ReferenceHost`, the baseline
+the equivalence tests and the quote bench compare against.
 """
 
 from __future__ import annotations
@@ -35,16 +34,12 @@ from dataclasses import dataclass, field
 
 from repro import env, obs
 from repro.algorithms.local_search import RandomizedLocalSearch
-from repro.algorithms.repair import bounded_repair
 from repro.billboard.influence import CoverageIndex
 from repro.core.advertiser import Advertiser
 from repro.core.allocation import Allocation
 from repro.core.problem import MROAMInstance
 from repro.market.incremental import QuoteWorkspace, _price_chunk
 from repro.parallel.pool import instance_pool
-
-#: The available quote-pricing engines (see module docstring).
-PRICING_MODES = ("incremental", "full")
 
 
 @dataclass(frozen=True)
@@ -58,11 +53,9 @@ class QuoteToken:
 
     newcomer: Advertiser
     book_version: int
-    #: Incremental path: the journal slice + sweep snapshot to replay.
-    entries: tuple = ()
-    post_state: tuple | None = None
-    #: Full path: the already-repaired extended allocation to adopt.
-    repaired: Allocation | None = field(default=None, repr=False)
+    #: The journal slice + sweep snapshot that rebuild the repaired plan.
+    entries: tuple
+    post_state: tuple
 
 
 @dataclass(frozen=True)
@@ -76,8 +69,8 @@ class Quote:
     regret_after: float
     would_satisfy: bool
     #: Commit material (``None`` for pool-priced batch quotes, which are
-    #: price-only).  Excluded from equality so quotes from different pricing
-    #: engines compare on their numbers alone.
+    #: price-only).  Excluded from equality so quotes compare on their
+    #: numbers alone.
     token: QuoteToken | None = field(default=None, repr=False, compare=False)
 
     @property
@@ -105,28 +98,17 @@ class OnlineHost:
         gamma: float = 0.5,
         repair_sweeps: int = 2,
         seed: int = 0,
-        pricing: str | None = None,
     ) -> None:
         if repair_sweeps < 0:
             raise ValueError(f"repair_sweeps must be non-negative, got {repair_sweeps}")
-        if pricing is None:
-            pricing = str(env.QUOTE_PRICING.get())
-        if pricing not in PRICING_MODES:
-            raise ValueError(
-                f"unknown pricing {pricing!r}; expected one of {PRICING_MODES}"
-            )
         self.coverage = coverage
         self.gamma = gamma
         self.repair_sweeps = repair_sweeps
         self.seed = seed
-        self.pricing = pricing
         self._advertisers: list[Advertiser] = []
-        self._allocation: Allocation | None = None
         self._book_version = 0
-        self._workspace: QuoteWorkspace | None = (
-            QuoteWorkspace(coverage, gamma=gamma, repair_sweeps=repair_sweeps)
-            if pricing == "incremental"
-            else None
+        self._workspace = QuoteWorkspace(
+            coverage, gamma=gamma, repair_sweeps=repair_sweeps
         )
         # The book instance handed to worker pools, rebuilt per book version
         # (pools key on the instance object, so reusing it keeps them warm).
@@ -143,19 +125,14 @@ class OnlineHost:
     def allocation(self) -> Allocation | None:
         """The current plan (``None`` until the first acceptance).
 
-        On the incremental path this is the live journaled allocation over
-        the extended instance (book + one empty ghost slot); the ghost owns
-        nothing and contributes ``0.0`` regret, so it reads exactly like the
-        book plan.
+        This is the live journaled allocation over the extended instance
+        (book + one empty ghost slot); the ghost owns nothing and contributes
+        ``0.0`` regret, so it reads exactly like the book plan.
         """
-        if self.pricing == "incremental":
-            return self._workspace.allocation if self._advertisers else None
-        return self._allocation
+        return self._workspace.allocation if self._advertisers else None
 
     def total_regret(self) -> float:
-        if self.pricing == "incremental":
-            return self._workspace.book_regret() if self._advertisers else 0.0
-        return self._allocation.total_regret() if self._allocation else 0.0
+        return self._workspace.book_regret() if self._advertisers else 0.0
 
     def instance(self) -> MROAMInstance:
         """The MROAM instance of the current book."""
@@ -165,55 +142,24 @@ class OnlineHost:
 
     # ------------------------------------------------------------- operations
 
-    def _extended(self, demand: int, payment: float, name: str):
-        """Instance + carried-over allocation with the new proposal appended."""
-        newcomer = Advertiser(len(self._advertisers), demand, payment, name=name)
-        instance = MROAMInstance(
-            self.coverage, [*self._advertisers, newcomer], gamma=self.gamma
-        )
-        allocation = Allocation(instance)
-        if self._allocation is not None:
-            allocation.copy_assignments_from(self._allocation)
-        return newcomer, instance, allocation
-
     def _price(self, demand: int, payment: float, name: str) -> Quote:
-        """Price one proposal on the configured engine; state is unchanged."""
-        if self.pricing == "incremental":
-            workspace = self._workspace
-            newcomer = Advertiser(
-                workspace.newcomer_slot, demand, payment, name=name
-            )
-            priced = workspace.price(newcomer)
-            regret_before = priced.regret_before
-            regret_after = priced.regret_after
-            would_satisfy = priced.would_satisfy
-            token = QuoteToken(
-                newcomer=newcomer,
-                book_version=self._book_version,
-                entries=priced.entries,
-                post_state=priced.post_state,
-            )
-        else:
-            newcomer, _, allocation = self._extended(demand, payment, name)
-            regret_before = self.total_regret()
-            repaired = bounded_repair(
-                allocation, newcomer.advertiser_id, self.repair_sweeps
-            )
-            regret_after = repaired.total_regret()
-            would_satisfy = repaired.is_satisfied(newcomer.advertiser_id)
-            token = QuoteToken(
-                newcomer=newcomer,
-                book_version=self._book_version,
-                repaired=repaired,
-            )
+        """Price one proposal in the workspace's spare slot; state is unchanged."""
+        workspace = self._workspace
+        newcomer = Advertiser(workspace.newcomer_slot, demand, payment, name=name)
+        priced = workspace.price(newcomer)
         return Quote(
             advertiser_name=name,
             demand=demand,
             payment=payment,
-            regret_before=regret_before,
-            regret_after=regret_after,
-            would_satisfy=would_satisfy,
-            token=token,
+            regret_before=priced.regret_before,
+            regret_after=priced.regret_after,
+            would_satisfy=priced.would_satisfy,
+            token=QuoteToken(
+                newcomer=newcomer,
+                book_version=self._book_version,
+                entries=priced.entries,
+                post_state=priced.post_state,
+            ),
         )
 
     def quote(self, demand: int, payment: float, name: str = "") -> Quote:
@@ -239,10 +185,7 @@ class OnlineHost:
                 "stale quote token: the book changed since this proposal was "
                 "priced; re-quote it"
             )
-        if self.pricing == "incremental":
-            self._workspace.accept(token.newcomer, token.entries, token.post_state)
-        else:
-            self._allocation = token.repaired
+        self._workspace.accept(token.newcomer, token.entries, token.post_state)
         self._advertisers.append(token.newcomer)
         self._book_version += 1
 
@@ -258,8 +201,7 @@ class OnlineHost:
 
         ``proposals`` is a sequence of ``(demand, payment)`` or ``(demand,
         payment, name)`` tuples.  With ``workers >= 2`` (argument or
-        ``REPRO_QUOTE_BATCH_WORKERS``) and a non-empty book on the
-        incremental engine, the batch fans across the book instance's
+        ``REPRO_QUOTE_BATCH_WORKERS``) and a non-empty book, the batch fans across the book instance's
         persistent worker pool; pool-priced quotes are price-only (no commit
         token), and their numbers are bit-identical to the serial loop.
         """
@@ -271,12 +213,7 @@ class OnlineHost:
             configured = env.QUOTE_BATCH_WORKERS.get()
             workers = int(configured) if configured is not None else 0
         with obs.span("quote.batch", proposals=len(normalized)):
-            if (
-                self.pricing == "incremental"
-                and self._advertisers
-                and workers >= 2
-                and len(normalized) >= 2
-            ):
+            if self._advertisers and workers >= 2 and len(normalized) >= 2:
                 quotes = self._quote_many_parallel(normalized, workers)
                 if quotes is not None:
                     return quotes
@@ -339,9 +276,6 @@ class OnlineHost:
             neighborhood="bls", restarts=restarts, seed=self.seed
         ).solve(self.instance())
         if result.total_regret < self.total_regret():
-            if self.pricing == "incremental":
-                self._workspace.adopt_book_plan(result.allocation)
-            else:
-                self._allocation = result.allocation
+            self._workspace.adopt_book_plan(result.allocation)
             self._book_version += 1
         return self.total_regret()

@@ -3,10 +3,10 @@
 The dirty engine consumes screen verdicts through
 :class:`~repro.algorithms.screen.ScreenRoundPlanner`; these tests pin the
 bit-identity claims of DESIGN.md §13 at every layer: candidate-set
-construction (:func:`round_candidates` vs the scalar sweep-state helpers),
-verdict arithmetic (:func:`round_flags` vs ``_exchange_screen`` /
-``_exchange_screen_batch``), and the engine end to end with the screen
-rounds fanned across the worker pool.
+construction (:func:`round_candidates` vs the reference per-billboard
+helpers), verdict arithmetic (:func:`round_flags` vs the reference scalar
+screen, whole round vs per-advertiser batches), and the engine end to end
+with the screen rounds fanned across the worker pool.
 """
 
 from __future__ import annotations
@@ -16,12 +16,7 @@ import pytest
 
 from repro import obs
 from repro.algorithms.annealing import SimulatedAnnealingSolver
-from repro.algorithms.bls import (
-    _all_exchange_candidates,
-    _exchange_screen,
-    _exchange_screen_batch,
-    billboard_driven_local_search,
-)
+from repro.algorithms.bls import billboard_driven_local_search
 from repro.algorithms.greedy_global import synchronous_greedy
 from repro.algorithms.local_search import RandomizedLocalSearch
 from repro.algorithms.screen import (
@@ -33,6 +28,12 @@ from repro.algorithms.screen import (
 from repro.algorithms.sweep import BillboardSweepState, round_candidates
 from repro.core.allocation import UNASSIGNED, Allocation
 from repro.parallel.pool import OVERSUBSCRIBE_ENV, close_all_pools
+from repro.reference import (
+    all_exchange_candidates,
+    changed_candidates,
+    exchange_screen,
+    own_side_stale,
+)
 from tests.conftest import make_random_instance
 
 
@@ -94,10 +95,10 @@ class TestRoundCandidates:
         for k in range(len(billboard_ids)):
             advertiser_id = int(advertiser_ids[k])
             billboard_id = int(billboard_ids[k])
-            if state.own_side_stale(advertiser_id, billboard_id):
-                expected = _all_exchange_candidates(owners, advertiser_id, billboard_id)
+            if own_side_stale(state, advertiser_id, billboard_id):
+                expected = all_exchange_candidates(owners, advertiser_id, billboard_id)
             else:
-                expected = state.changed_candidates(billboard_id, owners, advertiser_id)
+                expected = changed_candidates(state, billboard_id, owners, advertiser_id)
             got = flat[offset : offset + lengths[k]]
             assert np.array_equal(got, expected), (advertiser_id, billboard_id)
             offset += lengths[k]
@@ -119,7 +120,7 @@ class TestRoundCandidates:
         )
         offset = 0
         for k in range(len(billboard_ids)):
-            expected = _all_exchange_candidates(
+            expected = all_exchange_candidates(
                 allocation.owners, int(advertiser_ids[k]), int(billboard_ids[k])
             )
             assert np.array_equal(flat[offset : offset + lengths[k]], expected)
@@ -158,9 +159,9 @@ class TestRoundFlags:
             flat[offsets[k] : offsets[k] + lengths[k]]
             for k in range(len(billboard_ids))
         ]
-        # Scalar screen, row by row.
+        # Reference scalar screen, row by row.
         for k in range(len(billboard_ids)):
-            expected = _exchange_screen(
+            expected = exchange_screen(
                 allocation,
                 int(advertiser_ids[k]),
                 int(billboard_ids[k]),
@@ -168,16 +169,20 @@ class TestRoundFlags:
                 min_improvement,
             )
             assert bool(flags[k]) == expected, int(billboard_ids[k])
-        # Per-advertiser batch screen (the PR-4 shape the round pass fuses).
+        # Per-advertiser batches: verdicts are row-wise, so screening the
+        # round in smaller chunks cannot change them.
         for advertiser_id in range(instance.num_advertisers):
             rows = np.nonzero(advertiser_ids == advertiser_id)[0]
             if len(rows) == 0:
                 continue
-            batch = _exchange_screen_batch(
-                allocation,
-                advertiser_id,
-                [int(billboard_ids[k]) for k in rows],
-                [candidate_sets[k] for k in rows],
+            batch = round_flags(
+                instance,
+                owners,
+                allocation.influences,
+                advertiser_ids[rows],
+                billboard_ids[rows],
+                np.concatenate([candidate_sets[k] for k in rows]),
+                lengths[rows],
                 min_improvement,
             )
             assert np.array_equal(flags[rows], batch)
@@ -212,7 +217,7 @@ class TestParallelScreenEngine:
             allocation = _greedy_allocation(instance)
             stats: dict = {}
             allocation = billboard_driven_local_search(
-                allocation, stats=stats, engine="dirty", **kwargs
+                allocation, stats=stats, **kwargs
             )
             return allocation, stats
 

@@ -1,10 +1,11 @@
-"""Dirty-set sweep engine equivalence: ``engine="dirty"`` == ``engine="full"``.
+"""Dirty-set sweep equivalence: the production BLS/ALS == the reference loops.
 
-The dirty engine skips provably-dead scans via version-counter certificates
-but runs one final unrestricted verification sweep before declaring local
-optimality, so both engines must land on bit-identical allocations — same
-owners, same total regret, same accepted-move counts — on every instance,
-under both coverage kernels (packed bitmap and id-list).
+The dirty-set sweep skips provably-dead scans via version-counter
+certificates but runs one final unrestricted verification sweep before
+declaring local optimality, so it must land on the allocation the full
+rescan loops of :mod:`repro.reference` reach — same owners, same total
+regret, same accepted-move counts — on every instance, under both coverage
+kernels (packed bitmap and id-list).
 """
 
 from __future__ import annotations
@@ -15,24 +16,30 @@ import pytest
 from tests.conftest import make_random_instance, random_allocation
 from repro.algorithms.als import advertiser_driven_local_search
 from repro.algorithms.bls import billboard_driven_local_search
+from repro.algorithms.local_search import RandomizedLocalSearch
 from repro.algorithms.sweep import BillboardSweepState, PairSweepState
 from repro.billboard.influence import BITMAP_BUDGET_ENV
 from repro.core.allocation import UNASSIGNED
+from repro.reference import changed_candidates, full_als, full_bls, own_side_stale
 
 SEEDS = (0, 1, 7, 23, 99)
+
+#: Production search vs reference loop, per neighbourhood.
+BLS = {"dirty": billboard_driven_local_search, "full": full_bls}
+ALS = {"dirty": advertiser_driven_local_search, "full": full_als}
 
 
 def _run_bls(instance, start_seed: int, engine: str):
     allocation = random_allocation(instance, seed=start_seed)
     stats: dict = {}
-    billboard_driven_local_search(allocation, stats=stats, engine=engine)
+    allocation = BLS[engine](allocation, stats=stats)
     return allocation, stats
 
 
 def _run_als(instance, start_seed: int, engine: str):
     allocation = random_allocation(instance, seed=start_seed)
     stats: dict = {}
-    advertiser_driven_local_search(allocation, stats=stats, engine=engine)
+    ALS[engine](allocation, stats=stats)
     return allocation, stats
 
 
@@ -84,11 +91,11 @@ class TestDirtyMatchesFull:
             3, num_billboards=60, num_trajectories=150, num_advertisers=6
         )
         results = {}
-        for engine in ("dirty", "full"):
+        for engine, search in BLS.items():
             allocation = Allocation(instance)
             synchronous_greedy(allocation)
             stats: dict = {}
-            billboard_driven_local_search(allocation, stats=stats, engine=engine)
+            allocation = search(allocation, stats=stats)
             results[engine] = (allocation, stats)
         dirty, dirty_stats = results["dirty"]
         full, full_stats = results["full"]
@@ -100,7 +107,7 @@ class TestDirtyMatchesFull:
 class TestStatsKeys:
     def test_split_evaluated_counters(self):
         """Satellite: the old conflated ``moves_evaluated`` is split into
-        exchange vs release tallies (dirty and full engines alike)."""
+        exchange vs release tallies (production and reference alike)."""
         instance = make_random_instance(2)
         for engine in ("dirty", "full"):
             _, stats = _run_bls(instance, start_seed=4, engine=engine)
@@ -117,34 +124,37 @@ class TestStatsKeys:
         assert "bls_dirty_scanned" not in full_stats
 
     def test_unknown_engine_rejected(self):
+        """One production path: no search takes an ``engine`` switch."""
         instance = make_random_instance(2)
         allocation = random_allocation(instance, seed=4)
-        with pytest.raises(ValueError, match="engine"):
-            billboard_driven_local_search(allocation, engine="eager")
-        with pytest.raises(ValueError, match="engine"):
-            advertiser_driven_local_search(allocation, engine="eager")
+        with pytest.raises(TypeError, match="engine"):
+            billboard_driven_local_search(allocation, engine="full")
+        with pytest.raises(TypeError, match="engine"):
+            advertiser_driven_local_search(allocation, engine="full")
+        with pytest.raises(TypeError, match="engine"):
+            RandomizedLocalSearch(engine="full")
 
 
 class TestBillboardSweepState:
     def test_never_certified_is_stale(self):
         state = BillboardSweepState(num_advertisers=2, num_billboards=4)
-        assert state.own_side_stale(0, 0)
+        assert own_side_stale(state, 0, 0)
         state.certify_scan(0)
-        assert not state.own_side_stale(0, 0)
+        assert not own_side_stale(state, 0, 0)
 
     def test_mark_move_staleness_propagates(self):
         state = BillboardSweepState(num_advertisers=2, num_billboards=4)
         state.certify_scan(0)
         state.mark_move(advertisers=(0,))
-        assert state.own_side_stale(0, 0)
-        assert not state.own_side_stale(1, 0)  # advertiser 1 untouched
+        assert own_side_stale(state, 0, 0)
+        assert not own_side_stale(state, 1, 0)  # advertiser 1 untouched
 
     def test_changed_candidates_restricts_to_touched(self):
         state = BillboardSweepState(num_advertisers=3, num_billboards=5)
         owners = np.array([0, 1, 2, UNASSIGNED, UNASSIGNED], dtype=np.int64)
         state.certify_scan(0)
         state.mark_move(advertisers=(1,), freed=(3,))
-        changed = state.changed_candidates(0, owners, advertiser_id=0)
+        changed = changed_candidates(state, 0, owners, advertiser_id=0)
         # Billboard 1 (owner moved) and billboard 3 (freshly freed) only:
         # billboard 2's owner and free billboard 4 predate the certificate.
         assert changed.tolist() == [1, 3]
@@ -152,7 +162,7 @@ class TestBillboardSweepState:
     def test_changed_candidates_excludes_self_and_own_set(self):
         state = BillboardSweepState(num_advertisers=2, num_billboards=4)
         owners = np.array([0, 0, 1, UNASSIGNED], dtype=np.int64)
-        changed = state.changed_candidates(0, owners, advertiser_id=0)
+        changed = changed_candidates(state, 0, owners, advertiser_id=0)
         assert 0 not in changed.tolist()
         assert 1 not in changed.tolist()  # same advertiser
 

@@ -1,7 +1,8 @@
 """Equivalence and lifecycle tests for the incremental quoting engine.
 
-The load-bearing contract (DESIGN.md §15): ``pricing="incremental"`` is
-**bit-identical** to ``pricing="full"`` in everything a caller can see —
+The load-bearing contract (DESIGN.md §15): :class:`OnlineHost` is
+**bit-identical** to the from-scratch :class:`repro.reference.ReferenceHost`
+in everything a caller can see —
 ``regret_before``/``regret_after``/``would_satisfy`` of every quote, and the
 resulting allocation after every accept — over arbitrary interleavings of
 quote / accept / reoptimize.  The property tests hold two hosts in lockstep
@@ -17,7 +18,8 @@ import pytest
 
 from repro import env, obs
 from repro.billboard.influence import CoverageIndex
-from repro.market.online import OnlineHost, PRICING_MODES, Quote
+from repro.market.online import OnlineHost, Quote
+from repro.reference import ReferenceHost
 
 
 def disjoint_coverage(num_billboards=8, per_board=3) -> CoverageIndex:
@@ -40,7 +42,7 @@ COVERAGE_FAMILIES = {
 }
 
 
-def assert_same_book_plan(incremental: OnlineHost, full: OnlineHost) -> None:
+def assert_same_book_plan(incremental, full) -> None:
     assert len(incremental.advertisers) == len(full.advertisers)
     if full.allocation is None:
         assert incremental.allocation is None
@@ -57,8 +59,8 @@ class TestBitIdentity:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_lockstep_quote_accept_reoptimize(self, family, seed):
         coverage = COVERAGE_FAMILIES[family](seed)
-        incremental = OnlineHost(coverage, pricing="incremental", seed=seed)
-        full = OnlineHost(coverage, pricing="full", seed=seed)
+        incremental = OnlineHost(coverage, seed=seed)
+        full = ReferenceHost(coverage, seed=seed)
         rng = random.Random(1000 * seed + 7)
         for step in range(25):
             demand = rng.randint(2, 35)
@@ -83,8 +85,8 @@ class TestBitIdentity:
     @pytest.mark.parametrize("family", sorted(COVERAGE_FAMILIES))
     def test_repair_sweeps_zero_lockstep(self, family):
         coverage = COVERAGE_FAMILIES[family](5)
-        incremental = OnlineHost(coverage, pricing="incremental", repair_sweeps=0)
-        full = OnlineHost(coverage, pricing="full", repair_sweeps=0)
+        incremental = OnlineHost(coverage, repair_sweeps=0)
+        full = ReferenceHost(coverage, repair_sweeps=0)
         rng = random.Random(5)
         for step in range(12):
             demand, payment = rng.randint(2, 20), round(rng.uniform(1, 8), 2)
@@ -113,7 +115,7 @@ class TestBitIdentity:
 
 class TestRollbackIsolation:
     def test_rejected_quote_leaves_state_byte_identical(self):
-        host = OnlineHost(overlapping_coverage(2), pricing="incremental")
+        host = OnlineHost(overlapping_coverage(2))
         rng = random.Random(2)
         for i in range(5):
             host.accept(rng.randint(3, 20), round(rng.uniform(1, 8), 2))
@@ -139,7 +141,7 @@ class TestRollbackIsolation:
         assert [frozenset(s) for s in allocation._sets] == sets_before
 
     def test_accept_preserves_allocation_object(self):
-        host = OnlineHost(disjoint_coverage(), pricing="incremental")
+        host = OnlineHost(disjoint_coverage())
         host.accept(demand=3, payment=3.0)
         allocation = host.allocation
         host.accept(demand=3, payment=3.0)
@@ -160,9 +162,11 @@ class TestTokens:
             via_accept.accept(demand, payment)
             assert_same_book_plan(via_commit, via_accept)
 
-    @pytest.mark.parametrize("pricing", PRICING_MODES)
-    def test_stale_token_is_rejected(self, pricing):
-        host = OnlineHost(disjoint_coverage(), pricing=pricing)
+    @pytest.mark.parametrize(
+        "host_class", [OnlineHost, ReferenceHost], ids=["incremental", "full"]
+    )
+    def test_stale_token_is_rejected(self, host_class):
+        host = host_class(disjoint_coverage())
         quote = host.quote(demand=3, payment=3.0)
         host.accept(demand=3, payment=3.0)
         with pytest.raises(ValueError, match="stale"):
@@ -191,7 +195,7 @@ class TestTokens:
 
 class TestReoptimize:
     def test_keeps_better_incumbent_object(self):
-        host = OnlineHost(disjoint_coverage(), pricing="incremental", seed=1)
+        host = OnlineHost(disjoint_coverage(), seed=1)
         host.accept(demand=3, payment=3.0)
         host.accept(demand=6, payment=6.0)
         assert host.total_regret() == pytest.approx(0.0)
@@ -203,8 +207,8 @@ class TestReoptimize:
 
     def test_interleaved_with_quotes(self):
         coverage = overlapping_coverage(8)
-        incremental = OnlineHost(coverage, pricing="incremental", seed=8)
-        full = OnlineHost(coverage, pricing="full", seed=8)
+        incremental = OnlineHost(coverage, seed=8)
+        full = ReferenceHost(coverage, seed=8)
         rng = random.Random(8)
         for step in range(4):
             for _ in range(3):
@@ -265,12 +269,58 @@ class TestQuoteMany:
 
 
 class TestConfiguration:
-    def test_env_knob_selects_engine(self):
-        with env.temporary(env.QUOTE_PRICING.name, "full"):
-            assert OnlineHost(disjoint_coverage()).pricing == "full"
-        with env.temporary(env.QUOTE_PRICING.name, None):
-            assert OnlineHost(disjoint_coverage()).pricing == "incremental"
-
     def test_unknown_pricing_rejected(self):
-        with pytest.raises(ValueError, match="pricing"):
-            OnlineHost(disjoint_coverage(), pricing="warp")
+        """One production pricing path: the host takes no ``pricing`` switch
+        and no environment knob selects one."""
+        with pytest.raises(TypeError, match="pricing"):
+            OnlineHost(disjoint_coverage(), pricing="full")
+        assert not hasattr(env, "QUOTE_PRICING")
+
+
+class TestFailureAtomicity:
+    def test_failed_repair_leaves_book_byte_identical(self, monkeypatch):
+        """A repair that raises mid-way leaves no residue: the book's owners,
+        counter rows and total regret are byte-identical afterwards, and the
+        next quote equals a fault-free twin host's."""
+        import repro.market.incremental as incremental
+        from repro.core.allocation import UNASSIGNED
+
+        coverage = overlapping_coverage(11)
+        host = OnlineHost(coverage, seed=11)
+        twin = OnlineHost(coverage, seed=11)
+        rng = random.Random(11)
+        for _ in range(5):
+            demand, payment = rng.randint(3, 18), round(rng.uniform(1, 8), 2)
+            host.accept(demand, payment)
+            twin.accept(demand, payment)
+        allocation = host.allocation
+        owners_before = allocation.owners.copy()
+        counts_before = allocation._counts.copy()
+        regret_before = host.total_regret()
+
+        real_repair = incremental.bounded_repair
+
+        def faulty_repair(allocation, newcomer_id, sweeps, **kwargs):
+            # A few real moves land in the journal before the fault.
+            free = np.nonzero(allocation.owners == UNASSIGNED)[0][:2]
+            booked = np.nonzero(allocation.owners != UNASSIGNED)[0][:1]
+            for billboard in booked:
+                allocation.release(int(billboard))
+            for billboard in free:
+                allocation.assign(int(billboard), newcomer_id)
+            assert allocation.journal_entries(0), "the fault must follow real moves"
+            raise RuntimeError("injected repair fault")
+
+        monkeypatch.setattr(incremental, "bounded_repair", faulty_repair)
+        with pytest.raises(RuntimeError, match="injected"):
+            host.quote(demand=12, payment=5.0)
+        monkeypatch.setattr(incremental, "bounded_repair", real_repair)
+
+        assert host.allocation is allocation
+        assert allocation.owners.tobytes() == owners_before.tobytes()
+        assert allocation._counts.tobytes() == counts_before.tobytes()
+        assert host.total_regret() == regret_before
+        assert host.quote(12, 5.0) == twin.quote(12, 5.0)
+        # The book keeps committing like its twin.
+        assert host.accept(9, 4.0) == twin.accept(9, 4.0)
+        assert_same_book_plan(host, twin)

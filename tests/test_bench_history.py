@@ -52,11 +52,52 @@ class TestHistoryFile:
         history = _bench_history.append_run(path, report(build_s=1.5))
         assert [run["results"]["build_s"] for run in history["runs"]] == [2.0, 1.5]
 
-    def test_missing_and_corrupt_files_start_empty(self, tmp_path):
+    def test_missing_file_starts_empty(self, tmp_path):
         assert _bench_history.load_history(tmp_path / "absent.json")["runs"] == []
-        bad = tmp_path / "bad.json"
-        bad.write_text("{not json")
-        assert _bench_history.load_history(bad)["runs"] == []
+
+    @pytest.mark.parametrize(
+        "content",
+        ['{"schema": "bench-history-v1", "runs": [{"benchmark": "b"', '{"x": 1}', "[]"],
+        ids=["truncated", "unknown-schema", "not-a-dict"],
+    )
+    def test_unreadable_history_raises_and_is_kept(self, tmp_path, content):
+        """A corrupt history must not be taken for an empty one: appending
+        raises and leaves the file's bytes untouched."""
+        path = tmp_path / "bench.json"
+        path.write_text(content)
+        before = path.read_bytes()
+        with pytest.raises(_bench_history.HistoryError):
+            _bench_history.load_history(path)
+        with pytest.raises(_bench_history.HistoryError):
+            _bench_history.append_run(path, report(build_s=1.0))
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["bench.json"]
+
+    def test_append_replaces_atomically(self, tmp_path, monkeypatch):
+        """The history is rewritten through a temp file and ``os.replace``:
+        a failed write leaves the old file intact and no temp file behind."""
+        path = tmp_path / "bench.json"
+        _bench_history.append_run(path, report(build_s=1.0))
+        before = path.read_bytes()
+        plain = tmp_path / "plain.json"
+        plain.write_text("{}")
+        assert path.stat().st_mode == plain.stat().st_mode  # not owner-only
+        plain.unlink()
+
+        def failing_replace(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(_bench_history.os, "replace", failing_replace)
+        with pytest.raises(OSError, match="disk full"):
+            _bench_history.append_run(path, report(build_s=0.5))
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["bench.json"]
+
+
+class TestGitCommit:
+    def test_head_hash_with_dirty_suffix(self):
+        commit = _bench_history.git_commit()
+        assert commit == "unknown" or len(commit.removesuffix("-dirty")) == 40
 
 
 class TestScenarioKey:
