@@ -28,8 +28,8 @@ bench:
 	$(PYTHON) scripts/bench_coverage.py --output BENCH_coverage.json --gate-regression
 	$(PYTHON) scripts/bench_solvers.py --output BENCH_solvers.json --gate-regression
 
-## Paper-scale sweep (10^4 -> 2*10^6 streamed trajectories): storage tiers,
-## popcount kernels, bit-identity, and one greedy+BLS cell under a 512 MB
+## Paper-scale sweep (10^4 -> 2*10^6 streamed trajectories): bitmap vs
+## id-array kernels, bit-identity, and one greedy+BLS cell under a 512 MB
 ## bitmap budget.  Appends to BENCH_scale.json; takes minutes at full scale.
 bench-scale:
 	$(PYTHON) scripts/bench_scale.py --output BENCH_scale.json

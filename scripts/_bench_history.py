@@ -8,10 +8,12 @@ series::
     {"schema": "bench-history-v1", "runs": [<report>, <report>, ...]}
 
 Each run is the same commit-stamped report dict the scripts always produced
-(legacy single-report files are migrated in place on first append).  Runs are
-keyed by a *scenario key* — benchmark name + scenario parameters — so a
-smoke run never gates against a full run and a resized scenario starts a
-fresh baseline.
+(legacy single-report files are migrated in place on first append), stamped
+with the :func:`machine` that produced it.  Runs are keyed by a *scenario
+key* — benchmark name + scenario parameters + machine shape (CPU count and
+model) — so a smoke run never gates against a full run, a resized scenario
+starts a fresh baseline, and a run on one machine never gates against a
+run on a differently shaped one.
 
 The regression gate compares every ``*_s`` timing of the new run against the
 **best** (minimum) value recorded for the same scenario key and metric, and
@@ -29,9 +31,12 @@ from __future__ import annotations
 
 import json
 import os
+import platform
 import subprocess
 import time
 from pathlib import Path
+
+import numpy as np
 
 SCHEMA = "bench-history-v1"
 
@@ -41,13 +46,39 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_THRESHOLD = 1.15
 
 
+def _cpu_model() -> str:
+    """The CPU model name (``/proc/cpuinfo`` on Linux, else ``platform``)."""
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as cpuinfo:
+            for line in cpuinfo:
+                if line.startswith("model name"):
+                    return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.processor() or platform.machine() or "unknown"
+
+
+def machine() -> dict:
+    """The machine a report was produced on: CPU count and model, Python and
+    numpy versions.  Every bench script stamps this as its ``machine``."""
+    return {
+        "nproc": os.cpu_count() or 1,
+        "cpu_model": _cpu_model(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+    }
+
+
 def scenario_key(report: dict) -> str:
-    """Stable identity of one benchmark configuration."""
+    """Stable identity of one benchmark configuration on one machine shape."""
     scenario = report.get("scenario", {})
     parts = [str(report.get("benchmark", "unknown"))]
     parts.extend(f"{k}={scenario[k]}" for k in sorted(scenario))
     if report.get("smoke"):
         parts.append("smoke")
+    machine_info = report.get("machine", {})
+    parts.append(f"nproc={machine_info.get('nproc')}")
+    parts.append(f"cpu={machine_info.get('cpu_model')}")
     return "|".join(parts)
 
 

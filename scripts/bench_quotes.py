@@ -42,7 +42,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import platform
 import sys
 import time
 from pathlib import Path
@@ -321,7 +320,7 @@ def main(argv: list[str] | None = None) -> int:
             "book_size": book_size,
             "seed": scenario.seed,
         },
-        "machine": {"python": platform.python_version(), "numpy": np.__version__},
+        "machine": _bench_history.machine(),
         "quote_paths": quote_paths,
         "quote_latency": latency,
         "quote_many": batched,

@@ -1,4 +1,4 @@
-"""Paper-scale coverage benchmark: streaming build, storage tiers, kernels.
+"""Paper-scale coverage benchmark: streaming build, bitmap vs id-array kernels.
 
 Sweeps synthetic-NYC corpora from 10^4 to 2*10^6 trajectories (the paper's
 NYC dataset is ~1.7 M trips) and, at each size:
@@ -7,12 +7,11 @@ NYC dataset is ~1.7 M trips) and, at each size:
   :meth:`CoverageIndex.from_trajectory_chunks` in 100k-trip chunks — the
   corpus never exists in memory at once;
 * times the **query workload** (union popcounts + full and
-  candidate-restricted batch passes) on every available storage-tier /
-  kernel variant — id-array, in-RAM bitmap, memmap-shard bitmap, and the
-  numba-compiled popcount path when numba is importable — and asserts every
-  variant is **bit-identical** to the id-array reference;
-* records which variant **wins** at that size plus the
-  ``influence.tier.*`` / ``influence.kernel.*`` dispatch counters.
+  candidate-restricted batch passes) on both kernels — id-array and the
+  in-RAM bitmap — and asserts the bitmap is **bit-identical** to the
+  id-array reference;
+* records which kernel **wins** at that size plus the ``influence.tier.*``
+  dispatch counters.
 
 The largest size also solves one greedy + BLS cell under a 512 MB bitmap
 budget, demonstrating an end-to-end paper-scale solve.
@@ -29,12 +28,8 @@ Usage::
 from __future__ import annotations
 
 import argparse
-import importlib.util
 import json
-import os
-import platform
 import sys
-import tempfile
 import time
 from pathlib import Path
 
@@ -43,10 +38,9 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 import _bench_history
 
-from repro import env, obs
+from repro import obs
 from repro.algorithms.bls import billboard_driven_local_search
 from repro.algorithms.greedy_global import synchronous_greedy
-from repro.billboard import bitmap_store, popcount_jit
 from repro.billboard.influence import CoverageIndex
 from repro.core.allocation import Allocation
 from repro.core.problem import MROAMInstance
@@ -63,10 +57,6 @@ BLS_SIZE = 1_000_000  # largest available size solves a cell too
 
 #: Advertiser market for the end-to-end solve: alpha/p_avg -> 5 advertisers.
 BLS_ALPHA, BLS_P_AVG, BLS_GAMMA = 0.25, 0.05, 0.5
-
-
-def numba_available() -> bool:
-    return importlib.util.find_spec("numba") is not None
 
 
 def build_streaming(stream, n: int, lambda_m: float) -> tuple[CoverageIndex, float]:
@@ -87,9 +77,8 @@ def make_variant(
     """One query-workload configuration rebuilt from the shared CSR."""
     if name == "idarray":
         return CoverageIndex.from_flat_arrays(flat, offsets, n, bitmap_budget_mb=0.0)
-    storage = "memmap" if name.startswith("memmap") else "ram"
     index = CoverageIndex.from_flat_arrays(
-        flat, offsets, n, bitmap_budget_mb=BITMAP_BUDGET_MB, bitmap_storage=storage
+        flat, offsets, n, bitmap_budget_mb=BITMAP_BUDGET_MB
     )
     # The workload must measure the bitmap kernels, not the adaptive
     # dispatch's density heuristic (sparse coverage would pick id-array).
@@ -163,7 +152,7 @@ def assert_bit_identical(reference: dict, results: dict, variant: str) -> None:
 
 
 def dispatch_counters(index: CoverageIndex, n: int, seed: int) -> dict:
-    """``influence.tier.*`` / ``influence.kernel.*`` counters for one replay."""
+    """``influence.tier.*`` counters for one replay."""
     rng = as_generator(seed)
     counts_row = rng.integers(0, 3, size=n).astype(np.int64)
     was_enabled = obs.enabled()
@@ -184,35 +173,23 @@ def dispatch_counters(index: CoverageIndex, n: int, seed: int) -> dict:
     return {
         key: int(value)
         for key, value in sorted(counters.items())
-        if key.startswith(("influence.tier.", "influence.kernel."))
+        if key.startswith("influence.tier.")
     }
 
 
-def variant_names() -> list[str]:
-    names = ["idarray", "ram", "memmap"]
-    if numba_available():
-        names += ["ram+numba", "memmap+numba"]
-    return names
+#: The id-array reference first, then the bitmap it must match.
+VARIANTS = ("idarray", "ram")
 
 
 def run_variant(
     name: str, flat: np.ndarray, offsets: np.ndarray, n: int, seed: int
 ) -> tuple[dict, dict]:
     """Build the variant, run the workload, and report timings + results."""
-    use_numba = name.endswith("+numba")
-    with env.temporary(popcount_jit.NUMBA_ENV, "1" if use_numba else "0"):
-        popcount_jit.reset()
-        try:
-            index = make_variant(flat, offsets, n, name)
-            if use_numba:  # compile outside the timed region
-                assert popcount_jit.enabled(), "numba requested but kernels missing"
-                query_workload(index, min(n, 1_000), seed)
-            timings, results = query_workload(index, n, seed)
-            timings["tier"] = index.bitmap_tier or "idarray"
-            timings["obs"] = dispatch_counters(index, n, seed)
-            return timings, results
-        finally:
-            popcount_jit.reset()
+    index = make_variant(flat, offsets, n, name)
+    timings, results = query_workload(index, n, seed)
+    timings["tier"] = index.bitmap_tier or "idarray"
+    timings["obs"] = dispatch_counters(index, n, seed)
+    return timings, results
 
 
 def bench_size(stream, n: int, lambda_m: float, seed: int) -> dict:
@@ -231,7 +208,7 @@ def bench_size(stream, n: int, lambda_m: float, seed: int) -> dict:
     del index  # free the build's bitmap before the variants allocate theirs
 
     reference = None
-    for name in variant_names():
+    for name in VARIANTS:
         timings, results = run_variant(name, flat, offsets, n, seed)
         if name == "idarray":
             reference = results
@@ -300,20 +277,14 @@ def main(argv: list[str] | None = None) -> int:
     sizes = SMOKE_SIZES if args.smoke else FULL_SIZES
     lambda_m = 100.0
 
-    with tempfile.TemporaryDirectory(prefix="repro-bench-scale-") as spill_dir:
-        with env.temporary(bitmap_store.SPILL_DIR_ENV, spill_dir):
-            size_entries = {}
-            for n in sizes:
-                stream = nyc_stream(
-                    args.billboards, n, chunk_size=CHUNK_SIZE, seed=args.seed
-                )
-                size_entries[str(n)] = bench_size(stream, n, lambda_m, args.seed)
+    size_entries = {}
+    for n in sizes:
+        stream = nyc_stream(args.billboards, n, chunk_size=CHUNK_SIZE, seed=args.seed)
+        size_entries[str(n)] = bench_size(stream, n, lambda_m, args.seed)
 
-            bls_n = max(s for s in sizes if s <= BLS_SIZE)
-            stream = nyc_stream(
-                args.billboards, bls_n, chunk_size=CHUNK_SIZE, seed=args.seed
-            )
-            bls = bench_bls(stream, bls_n, lambda_m, args.seed)
+    bls_n = max(s for s in sizes if s <= BLS_SIZE)
+    stream = nyc_stream(args.billboards, bls_n, chunk_size=CHUNK_SIZE, seed=args.seed)
+    bls = bench_bls(stream, bls_n, lambda_m, args.seed)
 
     report = {
         "benchmark": "coverage-scale",
@@ -328,11 +299,7 @@ def main(argv: list[str] | None = None) -> int:
             "bitmap_budget_mb": BITMAP_BUDGET_MB,
             "seed": args.seed,
         },
-        "machine": {
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "numba": numba_available(),
-        },
+        "machine": _bench_history.machine(),
         "sizes": size_entries,
         "bls_cell": bls,
     }

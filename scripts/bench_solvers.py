@@ -39,7 +39,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import platform
 import sys
 import time
 from pathlib import Path
@@ -289,7 +288,7 @@ def traced_engine_pass(instance: MROAMInstance) -> None:
     event so the report can attribute kernel choice to the sweep.  The
     reference loop is uninstrumented, so only the production sweep is traced.
     """
-    attributed = ("influence.dispatch.", "influence.kernel.", "influence.tier.")
+    attributed = ("influence.dispatch.", "influence.tier.")
     before = dict(obs.get_registry().counters)
     allocation = Allocation(instance)
     synchronous_greedy(allocation)
@@ -384,7 +383,7 @@ def main(argv: list[str] | None = None) -> int:
             "lambda_m": scenario.lambda_m,
             "seed": scenario.seed,
         },
-        "machine": {"python": platform.python_version(), "numpy": np.__version__},
+        "machine": _bench_history.machine(),
         "bls_local_search": sweep_engines,
         "restricted_rows": restricted_rows,
         "bls_sweep_phases": sweep_phases,

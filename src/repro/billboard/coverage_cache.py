@@ -26,7 +26,6 @@ from pathlib import Path
 import numpy as np
 
 from repro import env, obs
-from repro.billboard import bitmap_store
 from repro.billboard.influence import CoverageIndex, _resolve_bitmap_budget_mb
 from repro.billboard.model import BillboardDB
 from repro.trajectory.model import TrajectoryDB
@@ -36,11 +35,10 @@ CACHE_ENV = env.COVERAGE_CACHE.name
 
 #: Bumped whenever the meet-test semantics or the file layout change, so a
 #: stale cache can never leak wrong coverage into an experiment.  v2 added
-#: the bitmap budget / storage mode to the content key: an in-RAM index and
-#: a memmap-sharded index of the same scenario are distinct cache entries,
-#: and a cached load now rebuilds with the caller's bitmap configuration
-#: instead of silently reverting to the defaults.
-_FORMAT_VERSION = 2
+#: the bitmap budget to the content key, and a cached load rebuilds with the
+#: caller's bitmap budget instead of silently reverting to the default.  v3
+#: dropped the bitmap storage mode from the key (one storage tier remains).
+_FORMAT_VERSION = 3
 
 
 def resolve_cache_dir(cache_dir: str | os.PathLike | None = None) -> Path | None:
@@ -57,21 +55,19 @@ def coverage_fingerprint(
     lambda_m: float,
     exact_segments: bool = False,
     bitmap_budget_mb: float | None = None,
-    bitmap_storage: str | None = None,
 ) -> str:
     """Hex digest identifying one coverage computation's exact inputs.
 
-    The bitmap budget and storage mode are part of the key (resolved the
-    same way the index resolves them, so argument and environment spellings
-    of the same configuration hash identically): indexes that dispatch to
-    different kernels/tiers must not collide in the cache.
+    The bitmap budget is part of the key (resolved the same way the index
+    resolves it, so argument and environment spellings of the same budget
+    hash identically): indexes that dispatch to different kernels must not
+    collide in the cache.
     """
     digest = hashlib.sha256()
     digest.update(f"repro-coverage-v{_FORMAT_VERSION}".encode())
     digest.update(np.float64(lambda_m).tobytes())
     digest.update(b"exact" if exact_segments else b"sampled")
     digest.update(np.float64(_resolve_bitmap_budget_mb(bitmap_budget_mb)).tobytes())
-    digest.update(bitmap_store.resolve_storage(bitmap_storage).encode())
     digest.update(np.int64(len(billboards)).tobytes())
     digest.update(np.int64(len(trajectories)).tobytes())
     digest.update(np.ascontiguousarray(billboards.locations).tobytes())
@@ -113,11 +109,10 @@ def store(index: CoverageIndex, path: str | os.PathLike) -> Path:
 def load(
     path: str | os.PathLike,
     bitmap_budget_mb: float | None = None,
-    bitmap_storage: str | None = None,
 ) -> CoverageIndex | None:
     """Load a cached index, or ``None`` if absent/unreadable/stale.
 
-    The bitmap configuration is applied to the rebuilt index — a cache hit
+    The bitmap budget is applied to the rebuilt index — a cache hit
     dispatches to exactly the kernels a fresh build would.
     """
     path = Path(path)
@@ -134,7 +129,6 @@ def load(
                 num_trajectories=int(archive["num_trajectories"]),
                 lambda_m=float(archive["lambda_m"]),
                 bitmap_budget_mb=bitmap_budget_mb,
-                bitmap_storage=bitmap_storage,
             )
     except (OSError, KeyError, ValueError, zipfile.BadZipFile):
         obs.counter_add("coverage_cache.corrupt")
@@ -148,7 +142,6 @@ def get_or_build(
     exact_segments: bool = False,
     cache_dir: str | os.PathLike | None = None,
     bitmap_budget_mb: float | None = None,
-    bitmap_storage: str | None = None,
     chunk_size: int | None = None,
 ) -> CoverageIndex:
     """Load the coverage index from cache, building (and storing) on a miss.
@@ -164,7 +157,6 @@ def get_or_build(
             lambda_m=lambda_m,
             exact_segments=exact_segments,
             bitmap_budget_mb=bitmap_budget_mb,
-            bitmap_storage=bitmap_storage,
             chunk_size=chunk_size,
         )
     fingerprint = coverage_fingerprint(
@@ -173,11 +165,10 @@ def get_or_build(
         lambda_m,
         exact_segments,
         bitmap_budget_mb=bitmap_budget_mb,
-        bitmap_storage=bitmap_storage,
     )
     path = cache_path(directory, fingerprint)
     with obs.span("coverage_cache.get_or_build", fingerprint=fingerprint[:12]):
-        cached = load(path, bitmap_budget_mb, bitmap_storage)
+        cached = load(path, bitmap_budget_mb)
         if cached is not None:
             obs.counter_add("coverage_cache.hit")
             return cached
@@ -188,7 +179,6 @@ def get_or_build(
             lambda_m=lambda_m,
             exact_segments=exact_segments,
             bitmap_budget_mb=bitmap_budget_mb,
-            bitmap_storage=bitmap_storage,
             chunk_size=chunk_size,
         )
         try:

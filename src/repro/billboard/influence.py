@@ -41,35 +41,28 @@ mask`` temporary), the id-array path gathers only the candidates' CSR
 slices.  Restricted results are bit-identical to slicing the full pass:
 ``batch_add_gains(row, candidate_ids=c) == batch_add_gains(row)[c]``.
 
-Paper-scale corpora (10⁶⁺ trajectories) add two more layers, both
-bit-identical to the in-RAM numpy path:
+Paper-scale corpora (10⁶⁺ trajectories) stream their ingestion:
+``chunk_size=`` (or ``REPRO_COVERAGE_CHUNK_SIZE``) feeds the grid radius join
+bounded chunks of trajectories, and
+:meth:`CoverageIndex.from_trajectory_chunks` builds coverage from a chunk
+*generator* so the full corpus never has to exist in memory at once —
+bit-identical to a single-shot build.
 
-* **streaming ingestion** — ``chunk_size=`` (or ``REPRO_COVERAGE_CHUNK_SIZE``)
-  feeds the grid radius join bounded chunks of trajectories, and
-  :meth:`CoverageIndex.from_trajectory_chunks` builds coverage from a chunk
-  *generator* so the full corpus never has to exist in memory at once;
-* **tiered bitmap storage** — the packed bitmap lives in a
-  :class:`~repro.billboard.bitmap_store.BitmapStore` (in-RAM, shared-memory,
-  or ``numpy.memmap`` row shards, see that module) so the bitmap kernel
-  keeps working past the RAM budget instead of degrading to id arrays, with
-  an optional numba-compiled popcount path
-  (:mod:`repro.billboard.popcount_jit`, ``REPRO_NUMBA=1``).
-
-Every bitmap dispatch records its storage tier (``influence.tier.ram`` /
-``.shm`` / ``.memmap``; id-array dispatches count ``influence.tier.idarray``)
-and its popcount kernel (``influence.kernel.numpy`` / ``.numba``).
+The bitmap is one in-RAM ``(num_billboards, words)`` ``uint64`` array, or a
+read-only view of one shared-memory segment in pool workers
+(:meth:`CoverageIndex.attach_shared`).  Every bitmap dispatch records that
+tier (``influence.tier.ram`` / ``.shm``; id-array dispatches count
+``influence.tier.idarray``).  The popcount kernels below are plain numpy
+functions over that array.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from repro import env, obs
-from repro.billboard import bitmap_store, popcount_jit
-from repro.billboard.bitmap_store import BitmapStore
 from repro.billboard.model import BillboardDB
 from repro.spatial.geometry import min_distance_to_polyline
 from repro.spatial.grid import GridIndex
@@ -125,6 +118,45 @@ def _resolve_chunk_size(chunk_size: int | None) -> int | None:
     if from_env <= 0:
         raise ValueError(f"{CHUNK_SIZE_ENV} must be a positive integer, got {raw!r}")
     return from_env
+
+
+def masked_popcounts(bitmap: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """``popcount(row & mask)`` for every row — the full-matrix batch pass."""
+    return bitset.popcount_inplace(bitmap & mask).sum(axis=1).astype(np.int64)
+
+
+def union_popcount(
+    bitmap: np.ndarray, row_ids: np.ndarray, block_rows: int = 256
+) -> int:
+    """Popcount of the OR of the given rows (union influence).
+
+    Rows are gathered ``block_rows`` at a time, so a large union never
+    builds a full-selection temporary.
+    """
+    union = np.zeros(bitmap.shape[1], dtype=bitset.WORD_DTYPE)
+    scratch = np.empty(
+        (min(len(row_ids), block_rows), bitmap.shape[1]), dtype=bitset.WORD_DTYPE
+    )
+    for start in range(0, len(row_ids), block_rows):
+        ids = row_ids[start : start + block_rows]
+        block = np.take(bitmap, ids, axis=0, out=scratch[: len(ids)])
+        np.bitwise_or(np.bitwise_or.reduce(block, axis=0), union, out=union)
+    return bitset.popcount_total(union)
+
+
+def block_masked_popcounts(block: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """``popcount(block[i] & mask)`` per row of an already-gathered block.
+
+    The restricted batch passes call this on their scratch block; it
+    clobbers ``block`` (AND + in-place popcount, zero extra allocation).
+    """
+    np.bitwise_and(block, mask, out=block)
+    return bitset.popcount_inplace(block).sum(axis=1).astype(np.int64)
+
+
+def masked_total(row: np.ndarray, mask: np.ndarray) -> int:
+    """``popcount(row & mask)`` for one row (the swap-delta terms)."""
+    return bitset.popcount_total(row & mask)
 
 
 def _max_sample_gap(points: np.ndarray, point_counts: np.ndarray) -> float:
@@ -288,10 +320,6 @@ class CoverageIndex:
         Memory budget for the packed-bitmap kernel; ``None`` reads
         ``REPRO_BITMAP_BUDGET_MB`` (default 512).  A non-positive budget
         disables the bitmap entirely.
-    bitmap_storage:
-        Storage mode for the packed bitmap (``auto`` / ``ram`` / ``memmap``
-        / ``none``); ``None`` reads ``REPRO_BITMAP_STORAGE`` (default
-        ``auto``).  See :mod:`repro.billboard.bitmap_store`.
     chunk_size:
         Stream the radius join in chunks of this many trajectories so peak
         build memory is O(chunk); ``None`` reads ``REPRO_COVERAGE_CHUNK_SIZE``
@@ -312,7 +340,6 @@ class CoverageIndex:
         lambda_m: float = 100.0,
         exact_segments: bool = False,
         bitmap_budget_mb: float | None = None,
-        bitmap_storage: str | None = None,
         chunk_size: int | None = None,
     ) -> None:
         if lambda_m <= 0:
@@ -320,7 +347,7 @@ class CoverageIndex:
         self.lambda_m = float(lambda_m)
         self.num_billboards = len(billboards)
         self.num_trajectories = len(trajectories)
-        self._init_caches(bitmap_budget_mb, bitmap_storage)
+        self._init_caches(bitmap_budget_mb)
 
         # Billboard-centric radius join: index the trajectory points (all at
         # once, or chunk by chunk), then one batched cell-bucket join per
@@ -360,12 +387,10 @@ class CoverageIndex:
             self._individual = np.array([len(ids) for ids in covered], dtype=np.int64)
             obs.counter_add("coverage.builds")
 
-    def _init_caches(
-        self, bitmap_budget_mb: float | None, bitmap_storage: str | None = None
-    ) -> None:
+    def _init_caches(self, bitmap_budget_mb: float | None) -> None:
         self._bitmap_budget_mb = _resolve_bitmap_budget_mb(bitmap_budget_mb)
-        self._bitmap_storage = bitmap_store.resolve_storage(bitmap_storage)
-        self._store: BitmapStore | None = None
+        self._bitmap: np.ndarray | None = None
+        self._bitmap_tier: str | None = None
         self._bitmap_decided = False
         self._batch_prefers_bitmap: bool | None = None
         self._flat_cache: tuple[np.ndarray, np.ndarray] | None = None
@@ -384,7 +409,6 @@ class CoverageIndex:
         lambda_m: float = 100.0,
         exact_segments: bool = False,
         bitmap_budget_mb: float | None = None,
-        bitmap_storage: str | None = None,
     ) -> "CoverageIndex":
         """Build coverage from a *generator* of trajectory chunks.
 
@@ -404,7 +428,7 @@ class CoverageIndex:
         if lambda_m <= 0:
             raise ValueError(f"lambda_m must be positive, got {lambda_m}")
         index.num_billboards = len(billboards)
-        index._init_caches(bitmap_budget_mb, bitmap_storage)
+        index._init_caches(bitmap_budget_mb)
         with obs.span(
             "coverage.build",
             billboards=index.num_billboards,
@@ -441,7 +465,6 @@ class CoverageIndex:
         num_trajectories: int,
         lambda_m: float = 100.0,
         bitmap_budget_mb: float | None = None,
-        bitmap_storage: str | None = None,
     ) -> "CoverageIndex":
         """Build an index directly from coverage lists (no geometry).
 
@@ -453,7 +476,7 @@ class CoverageIndex:
         index.lambda_m = float(lambda_m)
         index.num_billboards = len(covered)
         index.num_trajectories = int(num_trajectories)
-        index._init_caches(bitmap_budget_mb, bitmap_storage)
+        index._init_caches(bitmap_budget_mb)
         arrays = []
         for billboard_id, ids in enumerate(covered):
             array = np.unique(np.asarray(list(ids), dtype=np.int64))
@@ -475,7 +498,6 @@ class CoverageIndex:
         num_trajectories: int,
         lambda_m: float = 100.0,
         bitmap_budget_mb: float | None = None,
-        bitmap_storage: str | None = None,
     ) -> "CoverageIndex":
         """Rebuild an index from its CSR serialization (see :meth:`to_arrays`).
 
@@ -488,7 +510,7 @@ class CoverageIndex:
         index.lambda_m = float(lambda_m)
         index.num_billboards = len(offsets) - 1
         index.num_trajectories = int(num_trajectories)
-        index._init_caches(bitmap_budget_mb, bitmap_storage)
+        index._init_caches(bitmap_budget_mb)
         index._covered = list(np.split(flat_ids, offsets[1:-1]))
         index._individual = np.diff(offsets)
         index._flat_cache = (flat_ids, offsets)
@@ -534,20 +556,9 @@ class CoverageIndex:
         handles = [flat_shm, offsets_shm]
         index._bitmap_decided = True
         if spec.bitmap is not None:
-            bm = spec.bitmap
-            if bm.tier == "memmap":
-                index._store = BitmapStore.memmap_attach(
-                    bm.paths, bm.rows_per_shard, bm.num_rows, bm.words
-                )
-            else:
-                shards = []
-                for shard_spec in bm.shards:
-                    shard, shard_shm = attach_array(shard_spec)
-                    shards.append(shard)
-                    handles.append(shard_shm)
-                index._store = BitmapStore.from_shards(
-                    shards, bm.rows_per_shard, bm.num_rows, bm.words, "shm"
-                )
+            index._bitmap, bitmap_shm = attach_array(spec.bitmap)
+            index._bitmap_tier = "shm"
+            handles.append(bitmap_shm)
         # Keep the SharedMemory objects alive as long as the index: the numpy
         # views borrow their buffers.
         index._shm_handles = handles
@@ -596,100 +607,56 @@ class CoverageIndex:
 
     @property
     def bitmap_tier(self) -> str | None:
-        """Storage tier of the bitmap (``ram``/``shm``/``memmap``), or None.
+        """Where the bitmap lives (``ram`` / ``shm``), or ``None`` without one.
 
         Forces the (lazy, once-per-index) bitmap decision.
         """
-        store = self._ensure_bitmap()
-        return store.tier if store is not None else None
+        self._ensure_bitmap()
+        return self._bitmap_tier
 
-    def _ensure_bitmap(self) -> BitmapStore | None:
-        """The bitmap store, deciding tier and building it on first call.
+    def _ensure_bitmap(self) -> np.ndarray | None:
+        """The packed bitmap, deciding and building it on first call.
 
-        The decision is made exactly once per index:
-
-        * ``none`` storage or a non-positive budget disables the bitmap
-          silently (a deliberate configuration, not a surprise);
-        * ``ram`` / ``auto`` within budget build the in-RAM store;
-        * past the budget, ``auto`` spills to memmap shards when a spill
-          directory is configured and ``memmap`` always does (under a private
-          temp dir when none is configured); the spill warns once, naming the
-          tier and the budget that triggered it;
-        * ``auto`` past the budget with nowhere to spill — and ``ram`` past
-          the budget — skip the bitmap with a warn-once naming the id-array
-          fallback, exactly as before this tier existed.
+        The decision is made exactly once per index: a non-positive budget
+        disables the bitmap silently (a deliberate configuration, not a
+        surprise); within budget the in-RAM bitmap is built; past the budget
+        the bitmap is skipped with a warn-once naming the id-array fallback.
         """
         if not self._bitmap_decided:
             self._bitmap_decided = True
-            storage = self._bitmap_storage
-            budget_bytes = self._bitmap_budget_mb * 1024 * 1024
             needed = self.bitmap_bytes()
-            if storage == "none" or self._bitmap_budget_mb <= 0:
+            if self._bitmap_budget_mb <= 0:
                 pass  # deliberate disable: silent
-            elif needed <= budget_bytes and storage != "memmap":
-                self._store = self._build_store("ram", None)
-            elif storage == "memmap" or (
-                storage == "auto"
-                and (spill_dir := bitmap_store.resolve_spill_dir()) is not None
-            ):
-                if storage == "memmap":
-                    spill_dir = bitmap_store.resolve_spill_dir()
-                if storage == "auto":
-                    # Spilling past the budget is a behavior change worth one
-                    # warning per index; an explicit memmap request is not.
-                    obs.get_logger("repro.billboard.influence").warning(
-                        "bitmap spilled to memmap tier: %.1f MB needed > "
-                        "%s=%.1f MB budget (%d billboards x %d words); "
-                        "shards under %s",
-                        needed / (1024 * 1024),
-                        BITMAP_BUDGET_ENV,
-                        self._bitmap_budget_mb,
-                        self.num_billboards,
-                        self.bitmap_words,
-                        spill_dir,
-                    )
-                self._store = self._build_store("memmap", spill_dir)
-                obs.counter_add("influence.bitmap.spilled")
+            elif needed <= self._bitmap_budget_mb * 1024 * 1024:
+                self._bitmap = self._build_bitmap()
+                self._bitmap_tier = "ram"
             else:
                 # The decision is made exactly once per index, so this warning
                 # fires exactly once per index that exceeds the budget.
                 obs.get_logger("repro.billboard.influence").warning(
                     "bitmap kernel skipped: %.1f MB needed > %s=%.1f MB budget "
                     "(%d billboards x %d words); falling back to the id-array "
-                    "tier (set %s or %s to spill to memmap shards instead)",
+                    "kernel",
                     needed / (1024 * 1024),
                     BITMAP_BUDGET_ENV,
                     self._bitmap_budget_mb,
                     self.num_billboards,
                     self.bitmap_words,
-                    bitmap_store.SPILL_DIR_ENV,
-                    bitmap_store.STORAGE_ENV + "=memmap",
                 )
                 obs.counter_add("influence.bitmap.skipped")
-        return self._store
+        return self._bitmap
 
-    def _build_store(self, tier: str, spill_dir) -> BitmapStore:
-        """Build the packed bitmap into the chosen storage tier."""
-        with obs.span(
-            "coverage.bitmap_build", bytes=self.bitmap_bytes(), tier=tier
-        ):
-            if tier == "ram":
-                bitmap = np.zeros(
-                    (self.num_billboards, self.bitmap_words),
-                    dtype=bitset.WORD_DTYPE,
-                )
-                store = BitmapStore.ram(bitmap)
-            else:
-                store = BitmapStore.memmap_create(
-                    self.num_billboards, self.bitmap_words, spill_dir
-                )
+    def _build_bitmap(self) -> np.ndarray:
+        """Pack the coverage into the in-RAM bitmap."""
+        with obs.span("coverage.bitmap_build", bytes=self.bitmap_bytes()):
+            bitmap = np.zeros(
+                (self.num_billboards, self.bitmap_words), dtype=bitset.WORD_DTYPE
+            )
             for start, block in self._packed_row_blocks():
-                store.set_rows(start, block)
-            store.seal()
+                bitmap[start : start + len(block)] = block
         obs.counter_add("influence.bitmap.builds")
         obs.gauge_set("influence.bitmap.bytes", self.bitmap_bytes())
-        obs.gauge_set(f"bitmap.shards.{store.tier}", store.num_shards)
-        return store
+        return bitmap
 
     def _packed_row_blocks(self) -> Iterator[tuple[int, np.ndarray]]:
         """``(row_start, packed_rows)`` blocks with bounded staging memory.
@@ -712,10 +679,10 @@ class CoverageIndex:
 
     def bits_of(self, billboard_id: int) -> np.ndarray | None:
         """Packed coverage row of one billboard, or ``None`` without bitmap."""
-        store = self._ensure_bitmap()
-        if store is None:
+        bitmap = self._ensure_bitmap()
+        if bitmap is None:
             return None
-        return store.row(billboard_id)
+        return bitmap[billboard_id]
 
     @property
     def batch_prefers_bitmap(self) -> bool:
@@ -749,15 +716,9 @@ class CoverageIndex:
     # ------------------------------------------------------------ batch passes
 
     def _dispatch_bitmap(self) -> None:
-        """Count one bitmap dispatch plus its storage tier and kernel."""
+        """Count one bitmap dispatch plus its storage tier."""
         obs.counter_add("influence.dispatch.bitmap")
-        store = self._store
-        obs.counter_add(f"influence.tier.{store.tier if store else 'ram'}")
-        obs.counter_add(
-            "influence.kernel.numba"
-            if popcount_jit.enabled()
-            else "influence.kernel.numpy"
-        )
+        obs.counter_add(f"influence.tier.{self._bitmap_tier}")
 
     @staticmethod
     def _dispatch_idarray() -> None:
@@ -782,8 +743,8 @@ class CoverageIndex:
         """``popcount(bitmap[c] & mask)`` per candidate row, via the scratch
         block — no ``(num_billboards, words)`` temporary is ever built."""
         scratch = self._scratch_rows(len(candidate_ids), self.bitmap_words)
-        self._store.gather(candidate_ids, scratch)
-        return bitmap_store.block_masked_popcounts(scratch, mask_words)
+        np.take(self._bitmap, candidate_ids, axis=0, out=scratch)
+        return block_masked_popcounts(scratch, mask_words)
 
     def _gather_restricted(
         self, candidate_ids: np.ndarray
@@ -835,8 +796,8 @@ class CoverageIndex:
         ``candidate_ids[i]``) — bit-identical to slicing the full pass.
         """
         if self.batch_prefers_bitmap:
-            store = self._ensure_bitmap()
-            if store is not None:
+            bitmap = self._ensure_bitmap()
+            if bitmap is not None:
                 if free_bits is None:
                     free_bits = bitset.pack_bits(counts_row == 0)
                 self._dispatch_bitmap()
@@ -847,7 +808,7 @@ class CoverageIndex:
                     )
                     return self._masked_row_popcounts(candidate_ids, free_bits)
                 obs.histogram_observe("influence.popcount.rows", self.num_billboards)
-                return store.masked_popcounts(free_bits)
+                return masked_popcounts(bitmap, free_bits)
         self._dispatch_idarray()
         if candidate_ids is not None:
             candidate_ids = self._as_candidates(candidate_ids)
@@ -879,13 +840,13 @@ class CoverageIndex:
         the candidate order), bit-identical to slicing the full pass.
         """
         if self.batch_prefers_bitmap:
-            store = self._ensure_bitmap()
-            if store is not None:
+            bitmap = self._ensure_bitmap()
+            if bitmap is not None:
                 if free_bits is None:
                     free_bits = bitset.pack_bits(counts_row == 0)
                 if ones_bits is None:
                     ones_bits = bitset.pack_bits(counts_row == 1)
-                released_free = free_bits | (ones_bits & store.row(removed_billboard))
+                released_free = free_bits | (ones_bits & bitmap[removed_billboard])
                 self._dispatch_bitmap()
                 if candidate_ids is not None:
                     candidate_ids = self._as_candidates(candidate_ids)
@@ -894,7 +855,7 @@ class CoverageIndex:
                     )
                     return self._masked_row_popcounts(candidate_ids, released_free)
                 obs.histogram_observe("influence.popcount.rows", self.num_billboards)
-                return store.masked_popcounts(released_free)
+                return masked_popcounts(bitmap, released_free)
         self._dispatch_idarray()
         removed = np.zeros(self.num_trajectories, dtype=counts_row.dtype)
         removed[self._covered[removed_billboard]] = 1
@@ -925,8 +886,8 @@ class CoverageIndex:
         the candidate order), bit-identical to slicing the full pass.
         """
         if self.batch_prefers_bitmap:
-            store = self._ensure_bitmap()
-            if store is not None:
+            bitmap = self._ensure_bitmap()
+            if bitmap is not None:
                 if ones_bits is None:
                     ones_bits = bitset.pack_bits(counts_row == 1)
                 self._dispatch_bitmap()
@@ -937,7 +898,7 @@ class CoverageIndex:
                     )
                     return self._masked_row_popcounts(candidate_ids, ones_bits)
                 obs.histogram_observe("influence.popcount.rows", self.num_billboards)
-                return store.masked_popcounts(ones_bits)
+                return masked_popcounts(bitmap, ones_bits)
         self._dispatch_idarray()
         if candidate_ids is not None:
             candidate_ids = self._as_candidates(candidate_ids)
@@ -972,22 +933,22 @@ class CoverageIndex:
             self._individual[candidate_ids].sum()
             + self._individual[removed_billboard]
         )
-        store = (
+        bitmap = (
             self._ensure_bitmap()
             if ids_cost > (len(candidate_ids) + 2) * self.bitmap_words
             else None
         )
-        if store is not None:
+        if bitmap is not None:
             self._dispatch_bitmap()
             obs.histogram_observe(
                 "influence.popcount.rows", 2 * len(candidate_ids)
             )
-            row_removed = np.asarray(store.row(removed_billboard))
+            row_removed = bitmap[removed_billboard]
             if free_bits is None:
                 free_bits = bitset.pack_bits(counts_row == 0)
             if ones_bits is None:
                 ones_bits = bitset.pack_bits(counts_row == 1)
-            loss = bitmap_store.masked_total(row_removed, ones_bits)
+            loss = masked_total(row_removed, ones_bits)
             freed_mask = free_bits & ~row_removed
             recovered_mask = row_removed & ones_bits
             gains = self._masked_row_popcounts(candidate_ids, freed_mask)
@@ -1032,24 +993,24 @@ class CoverageIndex:
         ``ones_bits`` are the packed ``c == 0`` / ``c == 1`` masks (packed on
         demand when omitted).
         """
-        store = (
+        bitmap = (
             self._ensure_bitmap()
             if self.bitmap_profitable_for(removed_billboard, added_billboard)
             else None
         )
-        if store is not None:
+        if bitmap is not None:
             self._dispatch_bitmap()
             obs.histogram_observe("influence.popcount.rows", 2)
-            row_removed = np.asarray(store.row(removed_billboard))
-            row_added = np.asarray(store.row(added_billboard))
+            row_removed = bitmap[removed_billboard]
+            row_added = bitmap[added_billboard]
             if free_bits is None:
                 free_bits = bitset.pack_bits(counts_row == 0)
             if ones_bits is None:
                 ones_bits = bitset.pack_bits(counts_row == 1)
-            loss = bitmap_store.masked_total(row_removed, ones_bits)
-            gain = bitmap_store.masked_total(
-                row_added & ~row_removed, free_bits
-            ) + bitmap_store.masked_total(row_added & row_removed, ones_bits)
+            loss = masked_total(row_removed, ones_bits)
+            gain = masked_total(row_added & ~row_removed, free_bits) + masked_total(
+                row_added & row_removed, ones_bits
+            )
             return gain - loss
         self._dispatch_idarray()
         cov_removed = self._covered[removed_billboard]
@@ -1096,15 +1057,15 @@ class CoverageIndex:
         Uses the packed-bitmap kernel (bitwise-OR + popcount) when it fits the
         memory budget, the id-array kernel otherwise — both bit-identical.
         """
-        store = self._ensure_bitmap()
-        if store is None:
+        bitmap = self._ensure_bitmap()
+        if bitmap is None:
             return self.influence_of_set_ids(billboard_ids)
         ids = np.fromiter((int(b) for b in billboard_ids), dtype=np.int64)
         self._dispatch_bitmap()
         obs.histogram_observe("influence.popcount.rows", len(ids))
         if len(ids) == 0:
             return 0
-        return store.union_popcount(ids)
+        return union_popcount(bitmap, ids)
 
     def influence_of_set_ids(self, billboard_ids: Iterable[int]) -> int:
         """``I(S)`` via the sorted-id-array kernel (always available)."""
@@ -1167,7 +1128,6 @@ def build_coverage(
     *,
     exact_segments: bool = False,
     bitmap_budget_mb: float | None = None,
-    bitmap_storage: str | None = None,
     chunk_size: int | None = None,
     num_trajectories: int | None = None,
 ) -> CoverageIndex:
@@ -1188,7 +1148,6 @@ def build_coverage(
             lambda_m=lambda_m,
             exact_segments=exact_segments,
             bitmap_budget_mb=bitmap_budget_mb,
-            bitmap_storage=bitmap_storage,
             chunk_size=chunk_size,
         )
     return CoverageIndex.from_trajectory_chunks(
@@ -1198,5 +1157,4 @@ def build_coverage(
         lambda_m=lambda_m,
         exact_segments=exact_segments,
         bitmap_budget_mb=bitmap_budget_mb,
-        bitmap_storage=bitmap_storage,
     )

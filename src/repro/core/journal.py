@@ -39,8 +39,8 @@ class JournaledAllocation(Allocation):
 
     Recording is off until :meth:`journal_enable`; the quoting workspace
     turns it on once and leaves it on, so every repair move lands in the
-    journal.  :meth:`rollback_to` and :meth:`replay` suspend recording
-    internally — undo and commit traffic never re-enters the journal.
+    journal.  Undo (:meth:`rollback_to`) and commit (:meth:`replay`)
+    traffic never stays in the journal.
     """
 
     def __init__(self, instance: MROAMInstance) -> None:
@@ -99,16 +99,28 @@ class JournaledAllocation(Allocation):
         return undone
 
     def replay(self, entries: Iterable[tuple[str, int, int]]) -> None:
-        """Apply previously recorded deltas forward (recording suspended)."""
+        """Apply previously recorded deltas forward; they do not stay in the
+        journal.
+
+        All or nothing: when a delta raises, the deltas already applied are
+        undone before the error propagates.
+        """
+        mark = len(self._entries)
         recording = self._recording
-        self._recording = False
+        # Record while replaying so a failure can roll back; the records
+        # are dropped on success, so replay traffic never stays journaled.
+        self._recording = True
         try:
             for kind, billboard_id, advertiser_id in entries:
                 if kind == "assign":
                     self.assign(billboard_id, advertiser_id)
                 else:
                     self.release(billboard_id)
+        except BaseException:
+            self.rollback_to(mark)
+            raise
         finally:
+            del self._entries[mark:]
             self._recording = recording
 
     # ------------------------------------------------------- recorded moves

@@ -16,7 +16,7 @@ section instead of hand-rolled save/restore.
 Parsers take the raw string and return the typed value; they are only
 invoked when the variable is set, so ``default`` is returned untouched
 (``get()``) when the environment says nothing.  Modules with bespoke
-validation (e.g. the bitmap storage-mode whitelist) read ``raw()`` and keep
+validation (e.g. the bitmap budget's error message) read ``raw()`` and keep
 their own error messages.
 """
 
@@ -48,7 +48,7 @@ class EnvKnob:
     default: object
     parser: Callable[[str], object]
     doc: str
-    #: Where the knob surfaces besides the environment ("--bitmap-storage",
+    #: Where the knob surfaces besides the environment ("--coverage-chunk-size",
     #: "constructor argument", ...) — documentation only.
     cli: str = field(default="", compare=False)
 
@@ -151,38 +151,6 @@ BITMAP_BUDGET_MB = _declare(
         "(0 disables the bitmap kernel); results are bit-identical either "
         "way.",
         cli="bitmap_budget_mb=",
-    )
-)
-
-BITMAP_STORAGE = _declare(
-    EnvKnob(
-        name="REPRO_BITMAP_STORAGE",
-        default="auto",
-        parser=str,
-        doc="Bitmap storage tier: auto (RAM within budget, memmap spill past "
-        "it), ram, memmap, or none; every tier is bit-identical.",
-        cli="--bitmap-storage",
-    )
-)
-
-BITMAP_SPILL_DIR = _declare(
-    EnvKnob(
-        name="REPRO_BITMAP_SPILL_DIR",
-        default=None,
-        parser=parse_nonempty,
-        doc="Directory for memmap bitmap shards; defaults to "
-        "$REPRO_COVERAGE_CACHE/bitmap-shards when only the cache is set.",
-    )
-)
-
-NUMBA = _declare(
-    EnvKnob(
-        name="REPRO_NUMBA",
-        default=False,
-        parser=parse_bool,
-        doc="Opt in to numba-compiled popcount kernels (~2-4x on large "
-        "matrices, bit-identical); warns once and falls back to numpy when "
-        "numba is not importable.",
     )
 )
 

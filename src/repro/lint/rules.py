@@ -357,11 +357,7 @@ def env_registry(context: LintContext, source: SourceFile) -> Iterator:
 
 # --------------------------------------------------------- kernel-contract
 
-_KERNEL_MODULES = (
-    "src/repro/billboard/influence.py",
-    "src/repro/billboard/bitmap_store.py",
-    "src/repro/billboard/popcount_jit.py",
-)
+_KERNEL_MODULES = ("src/repro/billboard/influence.py",)
 
 _BIT_IDENTICAL_TAG = "bit-identical"
 

@@ -198,10 +198,22 @@ class QuoteWorkspace:
         (assign/release are deterministic in their arguments), the restored
         sweep snapshot revalidates the certificates earned while pricing,
         and a fresh ghost slot is appended for the next newcomer.
+
+        Failure-atomic like :meth:`price`: a replay or restore that raises
+        rolls the plan back to the journal mark, restores the sweep state
+        and puts the ghost back in the slot before re-raising.
         """
+        pre_state = self.state.snapshot()
+        mark = self.allocation.journal_mark()
         self._set_slot(newcomer)
-        self.allocation.replay(entries)
-        self.state.restore(post_state)
+        try:
+            self.allocation.replay(entries)
+            self.state.restore(post_state)
+        except BaseException:
+            self.allocation.rollback_to(mark)
+            self.state.restore(pre_state)
+            self._set_slot(self._ghost)
+            raise
         self.allocation.journal_commit()
         self._book.append(newcomer)
         slot = len(self._book)

@@ -22,14 +22,10 @@ COVERAGE_CACHE_CORRUPT = "coverage_cache.corrupt"
 COVERAGE_CACHE_WRITE_FAILURE = "coverage_cache.write_failure"
 COVERAGE_BUILDS = "coverage.builds"
 COVERAGE_CHUNKS = "coverage.chunks"
-INFLUENCE_NUMBA_UNAVAILABLE = "influence.numba.unavailable"
-INFLUENCE_BITMAP_SPILLED = "influence.bitmap.spilled"
 INFLUENCE_BITMAP_SKIPPED = "influence.bitmap.skipped"
 INFLUENCE_BITMAP_BUILDS = "influence.bitmap.builds"
 INFLUENCE_DISPATCH_BITMAP = "influence.dispatch.bitmap"
 INFLUENCE_DISPATCH_IDARRAY = "influence.dispatch.idarray"
-INFLUENCE_KERNEL_NUMBA = "influence.kernel.numba"
-INFLUENCE_KERNEL_NUMPY = "influence.kernel.numpy"
 INFLUENCE_TIER_IDARRAY = "influence.tier.idarray"
 SHM_CREATE = "shm.create"
 SHM_ATTACH = "shm.attach"
@@ -96,7 +92,6 @@ TRACE_RSS_TRACK = "rss_mb"
 #: A call site using an f-string must open with one of these prefixes.
 DYNAMIC_PREFIXES = (
     "influence.tier.",  # influence.tier.<storage tier>
-    "bitmap.shards.",  # bitmap.shards.<storage tier>   (gauge)
     "solver.",  # solver.<registry name>          (span per solve)
 )
 

@@ -29,7 +29,7 @@ files back in before writing.
 
 **Sampling.**  On span boundaries (throttled to one sample per ~50 ms) the
 tracer emits Chrome *counter* events (``"ph": "C"``) for the process RSS,
-the bitmap shard-tier residency gauges, and the kernel dispatch counters,
+the bitmap residency gauge, and the kernel dispatch counters,
 so the timeline shows memory and kernel activity alongside the spans.
 
 Enable with ``--trace-out`` on the CLI / bench scripts or by exporting
@@ -60,14 +60,10 @@ TRACE_ENV = env.OBS_TRACE.name
 _SAMPLE_INTERVAL_S = 0.05
 
 #: Counter series sampled on span boundaries (prefix match on counters).
-_SAMPLED_COUNTER_PREFIXES = (
-    "influence.dispatch.",
-    "influence.kernel.",
-    "influence.tier.",
-)
+_SAMPLED_COUNTER_PREFIXES = ("influence.dispatch.", "influence.tier.")
 
 #: Gauge series sampled on span boundaries (prefix match on gauges).
-_SAMPLED_GAUGE_PREFIXES = ("bitmap.shards.", "influence.bitmap.bytes")
+_SAMPLED_GAUGE_PREFIXES = ("influence.bitmap.bytes",)
 
 _EPOCH_OFFSET: float | None = None
 
@@ -226,7 +222,7 @@ def read_rss_mb() -> float | None:
 
 def record_span(span) -> None:
     """Emit a completed :class:`~repro.obs.spans.Span` as a trace event,
-    then maybe sample the RSS / shard-tier / kernel-dispatch counters.
+    then maybe sample the RSS / bitmap-residency / kernel-dispatch counters.
 
     Called from ``Span.__exit__`` behind the ``trace_enabled`` test; the
     boundary sample is throttled to one per ~50 ms so deep span nests don't
@@ -255,13 +251,13 @@ def sample_process_counters() -> None:
     }
     if dispatch:
         emit_counter("kernel_dispatch", dispatch)
-    shards = {
+    residency = {
         name: value
         for name, value in registry.gauges.items()
         if name.startswith(_SAMPLED_GAUGE_PREFIXES)
     }
-    if shards:
-        emit_counter("bitmap_residency", shards)
+    if residency:
+        emit_counter("bitmap_residency", residency)
 
 
 # -------------------------------------------------------- worker spill

@@ -28,6 +28,8 @@ Lifecycle rules (DESIGN.md §10):
   run on (``os.sched_getaffinity``) — extra workers only thrash the cache;
 * workers freeze their post-attach heap (``gc.freeze``) so the attached
   coverage never pays collection passes during solver work.
+* a worker that dies mid-``map`` closes its pool (segments unlinked) and
+  the error propagates; the next :func:`pool_for` spawns a fresh pool.
 
 Task *grain*: one ``map`` payload is one ``pool.task`` span.  Callers that
 need fatter grains (the batched restart drivers, DESIGN.md §13) pack
@@ -43,6 +45,7 @@ import gc
 import os
 import weakref
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 
 from repro import env, obs
 from repro.billboard.influence import CoverageIndex
@@ -168,6 +171,11 @@ class PersistentPool:
         order, so counter totals match a serial run of the same tasks.
         Tasks are dispatched in contiguous chunks — one slice per worker —
         to amortize the pickle/IPC round trips.
+
+        A worker that dies mid-map breaks the executor for good: the pool
+        then closes itself (unlinking its shared segments) and re-raises,
+        so the next :func:`pool_for` spawns a fresh pool instead of handing
+        back the broken one.
         """
         if self._closed:
             raise RuntimeError("pool is closed")
@@ -180,9 +188,15 @@ class PersistentPool:
         with obs.span(
             "pool.map", tasks=len(tasks), workers=self.workers, first=self._maps == 1
         ):
-            for result, snapshot in self._executor.map(func, tasks, chunksize=chunksize):
-                obs.merge_snapshot(snapshot)
-                results.append(result)
+            try:
+                for result, snapshot in self._executor.map(
+                    func, tasks, chunksize=chunksize
+                ):
+                    obs.merge_snapshot(snapshot)
+                    results.append(result)
+            except BrokenProcessPool:
+                self.close()
+                raise
         return results
 
     def close(self) -> None:

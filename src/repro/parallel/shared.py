@@ -38,23 +38,6 @@ class SharedArraySpec:
 
 
 @dataclass(frozen=True)
-class SharedBitmapSpec:
-    """Address of one tiered bitmap store, for workers to attach.
-
-    ``shm``-tier stores ship one segment per row shard; ``memmap``-tier
-    stores ship only the shard file paths (the page cache is already the
-    shared medium — attaching costs nothing).
-    """
-
-    tier: str
-    shards: tuple[SharedArraySpec, ...]
-    paths: tuple[str, ...]
-    rows_per_shard: int
-    num_rows: int
-    words: int
-
-
-@dataclass(frozen=True)
 class SharedCoverageSpec:
     """Everything a worker needs to rebuild a read-only ``CoverageIndex``.
 
@@ -64,7 +47,7 @@ class SharedCoverageSpec:
 
     flat: SharedArraySpec
     offsets: SharedArraySpec
-    bitmap: SharedBitmapSpec | None
+    bitmap: SharedArraySpec | None
     num_trajectories: int
     lambda_m: float
     bitmap_budget_mb: float
@@ -124,33 +107,10 @@ class SharedCoverage:
         offsets_segment, offsets_spec = _export_array(offsets)
         segments.append(offsets_segment)
         bitmap_spec = None
-        store = index._ensure_bitmap()
-        if store is not None:
-            if store.tier == "memmap":
-                # The sealed shard files are the shared medium already: every
-                # attacher maps the same page-cache pages. Ship paths only.
-                bitmap_spec = SharedBitmapSpec(
-                    tier="memmap",
-                    shards=(),
-                    paths=store.paths,
-                    rows_per_shard=store.rows_per_shard,
-                    num_rows=store.num_rows,
-                    words=store.words,
-                )
-            else:
-                shard_specs = []
-                for shard in store.shards:
-                    shard_segment, shard_spec = _export_array(np.asarray(shard))
-                    segments.append(shard_segment)
-                    shard_specs.append(shard_spec)
-                bitmap_spec = SharedBitmapSpec(
-                    tier="shm",
-                    shards=tuple(shard_specs),
-                    paths=(),
-                    rows_per_shard=store.rows_per_shard,
-                    num_rows=store.num_rows,
-                    words=store.words,
-                )
+        bitmap = index._ensure_bitmap()
+        if bitmap is not None:
+            bitmap_segment, bitmap_spec = _export_array(bitmap)
+            segments.append(bitmap_segment)
         spec = SharedCoverageSpec(
             flat=flat_spec,
             offsets=offsets_spec,

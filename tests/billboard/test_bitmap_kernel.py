@@ -9,17 +9,21 @@ arbitrary counter rows, both kernels return exactly the same integers.
 
 from __future__ import annotations
 
+import logging
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.algorithms.bls import _partner_swap_delta
+from repro.billboard import coverage_cache
 from repro.billboard.influence import (
     BITMAP_BUDGET_ENV,
     CoverageIndex,
     DEFAULT_BITMAP_BUDGET_MB,
     _resolve_bitmap_budget_mb,
+    build_coverage,
 )
 from repro.core.advertiser import Advertiser
 from repro.core.problem import MROAMInstance
@@ -162,6 +166,29 @@ class TestBudgetGating:
         assert index.bits_of(0) is None
         assert index.influence_of_set([0, 1]) == 3
 
+    def test_ram_within_budget(self):
+        index = CoverageIndex.from_coverage_lists([[0, 1], [1, 2]], 3)
+        assert index.bitmap_tier == "ram"
+
+    def test_past_budget_warns_once_and_falls_back(self, caplog):
+        index = CoverageIndex.from_coverage_lists(
+            [[0, 1], [1, 2]], 3, bitmap_budget_mb=1e-9
+        )
+        with caplog.at_level(logging.WARNING, logger="repro.billboard.influence"):
+            assert index.bitmap_tier is None
+            assert index.influence_of_set([0, 1]) == 3  # already decided
+        skips = [
+            record
+            for record in caplog.records
+            if "bitmap kernel skipped" in record.getMessage()
+        ]
+        assert len(skips) == 1
+        # The warn names the budget and the id-array fallback, nothing else.
+        message = skips[0].getMessage()
+        assert BITMAP_BUDGET_ENV in message
+        assert "id-array" in message
+        assert "spill" not in message
+
     def test_budget_smaller_than_bitmap_disables_it(self):
         index = CoverageIndex.from_coverage_lists(
             [[0], [1]], 2_000_000, bitmap_budget_mb=0.001
@@ -193,6 +220,44 @@ class TestBudgetGating:
             assert masks is not None
         else:
             assert masks is None
+
+
+class TestRemovedStorageOption:
+    """The bitmap has one storage tier; the ``bitmap_storage=`` argument
+    that used to pick between tiers is gone from every constructor."""
+
+    @pytest.mark.parametrize(
+        "construct",
+        [
+            lambda: CoverageIndex(None, None, bitmap_storage="ram"),
+            lambda: CoverageIndex.from_trajectory_chunks(
+                None, [], bitmap_storage="ram"
+            ),
+            lambda: CoverageIndex.from_coverage_lists([[0]], 1, bitmap_storage="ram"),
+            lambda: CoverageIndex.from_flat_arrays(
+                np.zeros(1, dtype=np.int64), np.array([0, 1]), 1, bitmap_storage="ram"
+            ),
+            lambda: build_coverage(None, None, bitmap_storage="ram"),
+            lambda: coverage_cache.get_or_build(None, None, bitmap_storage="ram"),
+            lambda: coverage_cache.coverage_fingerprint(
+                None, None, 100.0, bitmap_storage="ram"
+            ),
+            lambda: coverage_cache.load("absent.npz", bitmap_storage="ram"),
+        ],
+        ids=[
+            "init",
+            "from_trajectory_chunks",
+            "from_coverage_lists",
+            "from_flat_arrays",
+            "build_coverage",
+            "get_or_build",
+            "coverage_fingerprint",
+            "load",
+        ],
+    )
+    def test_bitmap_storage_argument_raises_type_error(self, construct):
+        with pytest.raises(TypeError, match="bitmap_storage"):
+            construct()
 
 
 class TestBitsetPrimitives:

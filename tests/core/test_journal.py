@@ -104,6 +104,20 @@ class TestReplay:
         allocation.replay(entries)
         assert allocation.journal_mark() == 0
 
+    def test_failed_replay_is_undone(self):
+        """A delta that raises mid-replay undoes the deltas applied before
+        it: the allocation and the journal are exactly as before the call."""
+        allocation = JournaledAllocation(small_instance())
+        allocation.journal_enable()
+        allocation.assign(5, 2)
+        before = state_fingerprint(allocation)
+        mark = allocation.journal_mark()
+        entries = [("assign", 0, 0), ("assign", 4, 1), ("assign", 0, 2)]
+        with pytest.raises(ValueError, match="already owned"):
+            allocation.replay(entries)
+        assert state_fingerprint(allocation) == before
+        assert allocation.journal_mark() == mark
+
 
 class TestRegretCache:
     def test_cached_value_matches_uncached(self):

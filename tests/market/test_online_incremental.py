@@ -324,3 +324,47 @@ class TestFailureAtomicity:
         # The book keeps committing like its twin.
         assert host.accept(9, 4.0) == twin.accept(9, 4.0)
         assert_same_book_plan(host, twin)
+
+    def test_failed_accept_leaves_book_byte_identical(self, monkeypatch):
+        """A commit whose replay raises after applying some deltas leaves no
+        residue: owners, counter rows and total regret are byte-identical,
+        and the next quote and accept equal a fault-free twin host's."""
+        from repro.core.journal import JournaledAllocation
+
+        coverage = overlapping_coverage(13)
+        host = OnlineHost(coverage, seed=13)
+        twin = OnlineHost(coverage, seed=13)
+        rng = random.Random(13)
+        for _ in range(5):
+            demand, payment = rng.randint(3, 18), round(rng.uniform(1, 8), 2)
+            host.accept(demand, payment)
+            twin.accept(demand, payment)
+        allocation = host.allocation
+        owners_before = allocation.owners.copy()
+        counts_before = allocation._counts.copy()
+        regret_before = host.total_regret()
+
+        def faulty_replay(self, entries):
+            entries = list(entries)
+            assert entries, "the priced repair must carry moves to replay"
+            for kind, billboard_id, advertiser_id in entries[: max(1, len(entries) // 2)]:
+                if kind == "assign":
+                    self.assign(billboard_id, advertiser_id)
+                else:
+                    self.release(billboard_id)
+            assert self.owners.tobytes() != owners_before.tobytes()
+            raise RuntimeError("injected replay fault")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(JournaledAllocation, "replay", faulty_replay)
+            with pytest.raises(RuntimeError, match="injected"):
+                host.accept(12, 5.0)
+
+        assert host.allocation is allocation
+        assert len(host.advertisers) == len(twin.advertisers)
+        assert allocation.owners.tobytes() == owners_before.tobytes()
+        assert allocation._counts.tobytes() == counts_before.tobytes()
+        assert host.total_regret() == regret_before
+        assert host.quote(12, 5.0) == twin.quote(12, 5.0)
+        assert host.accept(9, 4.0) == twin.accept(9, 4.0)
+        assert_same_book_plan(host, twin)

@@ -133,7 +133,8 @@ class TestTraceAcrossProcesses:
 
         out = tmp_path / "trace.json"
         obs.trace_enable(out=str(out))
-        solve(instance, WORKERS)
+        solve(instance, WORKERS)  # spawn
+        solve(instance, WORKERS)  # reuse — tasks on already-warm workers
         close_all_pools()
         written = obs.write_trace()
         data = json.loads(written.read_text())

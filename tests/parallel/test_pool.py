@@ -11,10 +11,12 @@ consecutive pool uses equal the serial loop), and the small API edges
 from __future__ import annotations
 
 import os
+from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 
 import pytest
 
-from repro import obs
+from repro import env, obs
 from repro.algorithms.local_search import RandomizedLocalSearch
 from repro.parallel.pool import (
     PersistentPool,
@@ -118,6 +120,13 @@ def _echo(task):
     return (task, None)
 
 
+def _die_on_one(instance, payload):
+    """Pool runner: kill the worker process on payload 1, echo otherwise."""
+    if payload == 1:
+        os._exit(1)
+    return payload
+
+
 class TestPersistentPoolEdges:
     def test_effective_workers_bounds(self):
         available = len(os.sched_getaffinity(0))
@@ -144,3 +153,29 @@ class TestPersistentPoolEdges:
         pool.close()
         pool.close()
         assert pool.closed
+
+
+class TestDeadWorker:
+    def test_dead_worker_closes_pool_and_next_call_respawns(
+        self, instance, monkeypatch
+    ):
+        """A worker killed mid-map breaks the executor; the pool closes
+        itself (unlinking its shared segments) and re-raises, and the next
+        ``pool_for`` call spawns a fresh, working pool."""
+        monkeypatch.setenv(env.POOL_OVERSUBSCRIBE.name, "1")
+        pool = instance_pool(instance, 2)
+        assert pool.workers == 2
+        spec = pool._shared.spec
+        segments = [spec.flat.name, spec.offsets.name]
+        if spec.bitmap is not None:
+            segments.append(spec.bitmap.name)
+        with pytest.raises(BrokenProcessPool):
+            pool.run(_die_on_one, [0, 1])
+        assert pool.closed
+        shm_dir = Path("/dev/shm")
+        assert [name for name in segments if (shm_dir / name.lstrip("/")).exists()] == []
+
+        fresh = instance_pool(instance, 2)
+        assert fresh is not pool
+        assert not fresh.closed
+        assert fresh.run(_die_on_one, [0, 2, 3]) == [0, 2, 3]

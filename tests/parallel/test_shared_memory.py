@@ -27,7 +27,7 @@ def shm_entries(spec) -> list[str]:
     """The ``/dev/shm`` file names belonging to a spec's segments."""
     names = [spec.flat.name, spec.offsets.name]
     if spec.bitmap is not None:
-        names.extend(shard.name for shard in spec.bitmap.shards)
+        names.append(spec.bitmap.name)
     shm_dir = Path("/dev/shm")
     return [name for name in names if (shm_dir / name.lstrip("/")).exists()]
 
@@ -150,7 +150,7 @@ class TestLifecycle:
             "spec = shared.spec\n"
             "names = [spec.flat.name, spec.offsets.name]\n"
             "if spec.bitmap is not None:\n"
-            "    names.extend(shard.name for shard in spec.bitmap.shards)\n"
+            "    names.append(spec.bitmap.name)\n"
             "print('\\n'.join(names))\n"
             # no shared.close(): atexit must clean up
         )

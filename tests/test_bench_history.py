@@ -17,13 +17,17 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
 import _bench_history  # noqa: E402
 
 
-def report(benchmark="bench", smoke=False, scenario=None, commit=None, **timings):
+def report(
+    benchmark="bench", smoke=False, scenario=None, commit=None, machine=None, **timings
+):
     entry = {
         "benchmark": benchmark,
         "smoke": smoke,
         "scenario": scenario or {"n": 100, "seed": 7},
         "results": dict(timings),
     }
+    if machine is not None:
+        entry["machine"] = machine
     if commit is not None:
         entry["commit"] = commit
     return entry
@@ -115,6 +119,32 @@ class TestScenarioKey:
         a = report(scenario={"n": 100, "seed": 7})
         b = report(scenario={"seed": 7, "n": 100})
         assert _bench_history.scenario_key(a) == _bench_history.scenario_key(b)
+
+    def test_machine_fingerprint_fields(self):
+        machine = _bench_history.machine()
+        assert set(machine) == {"nproc", "cpu_model", "python", "numpy"}
+        assert machine["nproc"] >= 1
+        assert machine["cpu_model"]
+
+
+class TestMachineShape:
+    def test_cpu_count_change_never_gates(self):
+        """Two reports that differ only in CPU count are different
+        scenarios: a 2-CPU baseline never fails a 1-CPU run."""
+        one_cpu = dict(_bench_history.machine(), nproc=1)
+        two_cpu = dict(_bench_history.machine(), nproc=2)
+        history = {"runs": [report(machine=two_cpu, build_s=0.001)]}
+        assert _bench_history.scenario_key(
+            report(machine=one_cpu)
+        ) != _bench_history.scenario_key(report(machine=two_cpu))
+        assert (
+            _bench_history.gate_regression(history, report(machine=one_cpu, build_s=5.0))
+            == []
+        )
+        # The same machine shape still gates.
+        assert _bench_history.gate_regression(
+            history, report(machine=two_cpu, build_s=5.0)
+        )
 
 
 class TestTimingMetrics:

@@ -21,6 +21,14 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["sweep", "--parameter", "bogus"])
 
+    def test_removed_bitmap_storage_flag_rejected(self, capsys):
+        """``--bitmap-storage`` is gone (one bitmap tier remains)."""
+        build_parser().parse_args(["cell", "--coverage-chunk-size", "100"])
+        for command in ("cell", "sweep"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args([command, "--bitmap-storage", "ram"])
+            assert "--bitmap-storage" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_example1_output(self, capsys):

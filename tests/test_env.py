@@ -53,37 +53,40 @@ class TestKnobAccessors:
             env.COVERAGE_CHUNK_SIZE.get()
 
     def test_bool_knob(self, monkeypatch):
-        monkeypatch.setenv(env.NUMBA.name, "yes")
-        assert env.NUMBA.get() is True
-        monkeypatch.setenv(env.NUMBA.name, "0")
-        assert env.NUMBA.get() is False
+        knob = env.EnvKnob("REPRO_TEST_FLAG", False, env.parse_bool, "test flag")
+        monkeypatch.delenv(knob.name, raising=False)
+        assert knob.get() is False
+        monkeypatch.setenv(knob.name, "yes")
+        assert knob.get() is True
+        monkeypatch.setenv(knob.name, "0")
+        assert knob.get() is False
 
 
 class TestTemporary:
     def test_set_and_restore(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NUMBA", "0")
-        with env.temporary("REPRO_NUMBA", "1"):
-            assert os.environ["REPRO_NUMBA"] == "1"
-        assert os.environ["REPRO_NUMBA"] == "0"
+        monkeypatch.setenv("REPRO_COVERAGE_CHUNK_SIZE", "0")
+        with env.temporary("REPRO_COVERAGE_CHUNK_SIZE", "1"):
+            assert os.environ["REPRO_COVERAGE_CHUNK_SIZE"] == "1"
+        assert os.environ["REPRO_COVERAGE_CHUNK_SIZE"] == "0"
 
     def test_unset_for_scope_then_restore(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NUMBA", "1")
-        with env.temporary("REPRO_NUMBA", None):
-            assert "REPRO_NUMBA" not in os.environ
-        assert os.environ["REPRO_NUMBA"] == "1"
+        monkeypatch.setenv("REPRO_COVERAGE_CHUNK_SIZE", "1")
+        with env.temporary("REPRO_COVERAGE_CHUNK_SIZE", None):
+            assert "REPRO_COVERAGE_CHUNK_SIZE" not in os.environ
+        assert os.environ["REPRO_COVERAGE_CHUNK_SIZE"] == "1"
 
     def test_restores_absence(self, monkeypatch):
-        monkeypatch.delenv("REPRO_NUMBA", raising=False)
-        with env.temporary("REPRO_NUMBA", "1"):
-            assert os.environ["REPRO_NUMBA"] == "1"
-        assert "REPRO_NUMBA" not in os.environ
+        monkeypatch.delenv("REPRO_COVERAGE_CHUNK_SIZE", raising=False)
+        with env.temporary("REPRO_COVERAGE_CHUNK_SIZE", "1"):
+            assert os.environ["REPRO_COVERAGE_CHUNK_SIZE"] == "1"
+        assert "REPRO_COVERAGE_CHUNK_SIZE" not in os.environ
 
     def test_restores_on_exception(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NUMBA", "0")
+        monkeypatch.setenv("REPRO_COVERAGE_CHUNK_SIZE", "0")
         with pytest.raises(RuntimeError):
-            with env.temporary("REPRO_NUMBA", "1"):
+            with env.temporary("REPRO_COVERAGE_CHUNK_SIZE", "1"):
                 raise RuntimeError("boom")
-        assert os.environ["REPRO_NUMBA"] == "0"
+        assert os.environ["REPRO_COVERAGE_CHUNK_SIZE"] == "0"
 
     def test_non_string_values_are_coerced(self, monkeypatch):
         monkeypatch.delenv("REPRO_SCREEN_MIN_CELLS", raising=False)
@@ -99,23 +102,20 @@ class TestRegistryHygiene:
             assert knob.doc.strip(), f"{name} has no doc"
 
     def test_lookup_by_name(self):
-        assert env.knob("REPRO_NUMBA") is env.NUMBA
+        assert env.knob("REPRO_COVERAGE_CHUNK_SIZE") is env.COVERAGE_CHUNK_SIZE
         with pytest.raises(KeyError):
             env.knob("REPRO_NOT_DECLARED")
 
     def test_duplicate_declaration_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
-            env._declare(env.NUMBA)
+            env._declare(env.COVERAGE_CHUNK_SIZE)
 
     def test_module_constants_still_expose_names(self):
         # Call sites keep their historical *_ENV constants; they must stay
         # bound to the registry's names.
-        from repro.billboard import bitmap_store, coverage_cache, influence, popcount_jit
+        from repro.billboard import coverage_cache, influence
         from repro.parallel import pool
 
-        assert popcount_jit.NUMBA_ENV == env.NUMBA.name
-        assert bitmap_store.STORAGE_ENV == env.BITMAP_STORAGE.name
-        assert bitmap_store.SPILL_DIR_ENV == env.BITMAP_SPILL_DIR.name
         assert coverage_cache.CACHE_ENV == env.COVERAGE_CACHE.name
         assert influence.BITMAP_BUDGET_ENV == env.BITMAP_BUDGET_MB.name
         assert influence.CHUNK_SIZE_ENV == env.COVERAGE_CHUNK_SIZE.name
